@@ -114,15 +114,18 @@ def cmd_run(args) -> int:
             return _emit_error(
                 "validation", EXIT_VALIDATION, [(i.field, i.message) for i in exc.issues]
             )
-        try:
-            if args.grid is not None:
+        if args.grid is not None:
+            try:
                 config = dataclasses.replace(config, omega_grid=_parse_grid_flag(args.grid))
-            if args.optimize_at is not None:
+            except ConfigParseError as exc:
+                return _emit_error("parse", EXIT_PARSE, [("grid", str(exc))])
+            except ValueError as exc:
+                return _emit_error("validation", EXIT_VALIDATION, [("grid", str(exc))])
+        if args.optimize_at is not None:
+            try:
                 config = dataclasses.replace(config, omega0=args.optimize_at)
-        except ConfigParseError as exc:
-            return _emit_error("parse", EXIT_PARSE, [("grid", str(exc))])
-        except ValueError as exc:
-            return _emit_error("validation", EXIT_VALIDATION, [("grid", str(exc))])
+            except ValueError as exc:
+                return _emit_error("validation", EXIT_VALIDATION, [("scenario.omega0", str(exc))])
 
         try:
             result = run(config)
@@ -132,6 +135,11 @@ def cmd_run(args) -> int:
             )
         except (ScenarioContractError, ValueError) as exc:
             return _emit_error("validation", EXIT_VALIDATION, [("scenario", str(exc))])
+        except OverflowError:
+            message = (
+                "numeric overflow: the photon numbers and Kerr couplings exceed double precision"
+            )
+            return _emit_error("validation", EXIT_VALIDATION, [("scenario", message)])
         _, warns = collect_issues(config)
 
     out = Path(args.out) if args.out else Path(f"spectrum.{args.format}")
@@ -175,14 +183,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    try:
-        preset = figure_preset(args.figure_id)
-    except ValueError as exc:
-        return _emit_error("validation", EXIT_VALIDATION, [("figure-id", str(exc))])
     out_dir = Path(args.out)
     files = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore")  # the presets knowingly leave the weak-coupling regime
+        try:
+            preset = figure_preset(args.figure_id)
+        except ValueError as exc:
+            return _emit_error("validation", EXIT_VALIDATION, [("figure-id", str(exc))])
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             for label, config in zip(preset.labels, preset.configs):

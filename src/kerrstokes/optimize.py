@@ -8,6 +8,14 @@ S(Omega0) together with an independent numerical route: a dense scan over
 side by side in a :class:`PhaseOptimum` and never averaged or substituted
 for one another; disagreements beyond tolerance are flagged, not hidden.
 
+The scan shares only the kernel formulas with the rest of the package:
+each optimizer builds a ``coefficients(delta_phi)`` closure that feeds
+the pulse scalars and the offset interference angle(s) to the family's
+coefficient core in :mod:`kerrstokes.spectra`, repeating the float
+operations of the ``offset_*`` helpers and ``PulseSpec.total_phase`` in
+the same order.  The coarse pass evaluates the closure once on an ndarray
+of all offsets; no pulse is rebuilt inside a scan.
+
 Phase-offset conventions (also encoded in the ``offset_*`` helpers):
 
 * single-port scenarios (coh_sq, two_sq, xpm):
@@ -21,19 +29,19 @@ Phase-offset conventions (also encoded in the ``offset_*`` helpers):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ScenarioContractError
 from .kernel import lorentzian
 from .pulse import PulseSpec
 from .spectra import (
     StokesIndex,
-    kernel_bs_s01,
-    kernel_bs_s2,
-    kernel_coh_sq,
-    kernel_two_sq,
-    kernel_xpm,
-    spectrum_value,
+    bs_s01_coefficients,
+    bs_s2_coefficients,
+    single_port_coefficients,
+    spectrum_from_coefficients,
 )
 from .stokes import _require_coherent, _require_unit_split
 
@@ -93,17 +101,17 @@ class PhaseOptimum:
 
 def offset_partner_phase(p1: PulseSpec, p2: PulseSpec, delta_phi: float) -> PulseSpec:
     """Return pulse 2 with phi_lin2 = phi_lin1 + delta_phi (single-port scenarios)."""
-    return replace(p2, phi_lin=p1.phi_lin + delta_phi)
+    return p2.with_phase(p1.phi_lin + delta_phi)
 
 
 def offset_bs_input_phase(p1: PulseSpec, p2: PulseSpec, delta_phi: float) -> PulseSpec:
     """Return pulse 1 with phi_lin1 = phi_lin2 + delta_phi (beam-splitter S0/S1)."""
-    return replace(p1, phi_lin=p2.phi_lin + delta_phi)
+    return p1.with_phase(p2.phi_lin + delta_phi)
 
 
 def offset_bs_probe_phase(p2: PulseSpec, p3: PulseSpec, delta_phi: float) -> PulseSpec:
     """Return probe with phi_lin3 = phi_lin2 - delta_phi (beam-splitter S2/S3)."""
-    return replace(p3, phi_lin=p2.phi_lin - delta_phi)
+    return p3.with_phase(p2.phi_lin - delta_phi)
 
 
 def _check_omega0(omega0: float) -> None:
@@ -136,15 +144,20 @@ def _golden_refine(f, a: float, b: float, max_iter: int = 300):
     return d, fd
 
 
-def scan_phase(kernel_builder, omega0: float, resolution: int = SCAN_RESOLUTION_MIN):
+def scan_phase(coefficients, omega0: float, resolution: int = SCAN_RESOLUTION_MIN):
     """Numerically minimize S(Omega0) over the phase offset.
 
-    ``kernel_builder(delta_phi)`` must return the scenario's
-    CorrelationKernel at that offset.  A coarse scan over [0, 2pi) with
-    ``resolution`` points brackets the global minimum; golden-section
-    refinement then converges the S value to SCAN_VALUE_TOL.
+    ``coefficients(delta_phi)`` must return the scenario's kernel
+    coefficients (a_h, b_g) at that offset and must broadcast: given an
+    ndarray of offsets it returns arrays of that shape (or scalars, for a
+    phase-independent kernel).  The coarse pass evaluates all
+    ``resolution`` offsets of [0, 2pi) in one call and takes the first
+    smallest value; golden-section refinement around it then calls
+    ``coefficients`` on scalars until the S value converges to
+    SCAN_VALUE_TOL.
 
     Returns (delta_phi, s_min) with delta_phi wrapped into [0, 2pi).
+    Raises ValueError when S is not finite at some scanned offset.
     """
     if resolution < SCAN_RESOLUTION_MIN:
         raise ValueError(
@@ -152,36 +165,39 @@ def scan_phase(kernel_builder, omega0: float, resolution: int = SCAN_RESOLUTION_
         )
     _check_omega0(omega0)
 
-    def f(delta_phi: float) -> float:
-        return spectrum_value(kernel_builder(delta_phi), omega0)
+    def f(delta_phi):
+        return spectrum_from_coefficients(*coefficients(delta_phi), omega0)
 
     step = TWO_PI / resolution
-    best_i = 0
-    best_v = math.inf
-    for i in range(resolution):
-        v = f(i * step)
-        if v < best_v:
-            best_i = i
-            best_v = v
+    offsets = np.arange(resolution) * step
+    values = np.broadcast_to(f(offsets), offsets.shape)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(
+            f"S({omega0!r}) is not finite at every phase offset: the photon numbers "
+            "and Kerr couplings exceed double precision"
+        )
+    best_i = int(np.argmin(values))
+    best_v = values[best_i]
     # Periodicity makes out-of-range bracket edges harmless.
     phi, s_min = _golden_refine(f, (best_i - 1) * step, (best_i + 1) * step)
     if best_v < s_min:
         phi, s_min = best_i * step, best_v
-    return phi % TWO_PI, s_min
+    return float(phi % TWO_PI), float(s_min)
 
 
 def _assemble(
     delta_phi_closed: float,
     s_closed: float,
-    builder,
+    coefficients,
     omega0: float,
     resolution: int,
     extra_flags: tuple[str, ...] = (),
 ) -> PhaseOptimum:
-    delta_phi_num, s_num = scan_phase(builder, omega0, resolution)
+    delta_phi_num, s_num = scan_phase(coefficients, omega0, resolution)
     flags = list(extra_flags)
     if math.isfinite(delta_phi_closed):
-        if spectrum_value(builder(delta_phi_closed), omega0) > s_num + AGREEMENT_TOL:
+        s_at_closed = spectrum_from_coefficients(*coefficients(delta_phi_closed), omega0)
+        if s_at_closed > s_num + AGREEMENT_TOL:
             flags.append("closed-phase-not-minimal")
     agreement = abs(s_num - s_closed)
     if agreement > AGREEMENT_TOL:
@@ -191,11 +207,35 @@ def _assemble(
     )
 
 
-def _degenerate(builder, omega0: float, resolution: int) -> PhaseOptimum:
-    delta_phi_num, s_num = scan_phase(builder, omega0, resolution)
+def _degenerate(coefficients, omega0: float, resolution: int = SCAN_RESOLUTION_MIN) -> PhaseOptimum:
+    delta_phi_num, s_num = scan_phase(coefficients, omega0, resolution)
     return PhaseOptimum(
         math.nan, omega0, 1.0, s_num, abs(s_num - 1.0), delta_phi_num, ("degenerate",)
     )
+
+
+def _partner_coefficients(
+    p1: PulseSpec, p2: PulseSpec, t: float, phase1: float, include_xpm: bool
+):
+    """coefficients(delta_phi) of a single-port kernel with pulse 2 offset.
+
+    Repeats, in the same order, the float operations of
+    ``offset_partner_phase`` and ``total_phase`` for theta = phase1 - Phi2;
+    ``phase1`` is the first pulse's phase term as the kind's kernel forms it.
+    """
+    n1 = p1.mean_photons(t)
+    n2 = p2.mean_photons(t)
+    phi1 = p1.spm_phase(t)
+    phi2 = p2.spm_phase(t)
+    phix1, phix2 = (p1.xpm_phase(t), p2.xpm_phase(t)) if include_xpm else (0.0, 0.0)
+    kerr2 = p2.kerr_phase(t, include_xpm)
+    phi_lin1 = p1.phi_lin
+
+    def coefficients(delta_phi):
+        theta = phase1 - (kerr2 + (phi_lin1 + delta_phi))
+        return single_port_coefficients(theta, n1, n2, phi1, phi2, phix1, phix2)
+
+    return coefficients
 
 
 def optimal_phase_coh_sq(
@@ -215,13 +255,11 @@ def optimal_phase_coh_sq(
     _require_coherent(p1, "pulse 1")
     _check_omega0(omega0)
 
-    def builder(delta_phi: float):
-        return kernel_coh_sq(p1, offset_partner_phase(p1, p2, delta_phi), t)
-
+    coefficients = _partner_coefficients(p1, p2, t, p1.phi_lin, include_xpm=False)
     n1 = p1.mean_photons(t)
     phi2 = p2.spm_phase(t)
     if n1 * phi2 == 0.0:
-        return _degenerate(builder, omega0, resolution)
+        return _degenerate(coefficients, omega0, resolution)
     lor0 = lorentzian(omega0)
     delta_phi = 0.5 * math.atan(1.0 / (lor0 * phi2)) - phi2
     s_closed = (
@@ -229,7 +267,7 @@ def optimal_phase_coh_sq(
         + 2.0 * n1 * phi2**2 * lor0**2
         - 2.0 * n1 * phi2 * lor0 * math.sqrt(1.0 + phi2**2 * lor0**2)
     )
-    return _assemble(delta_phi, s_closed, builder, omega0, resolution)
+    return _assemble(delta_phi, s_closed, coefficients, omega0, resolution)
 
 
 def optimal_phase_two_sq(
@@ -246,9 +284,7 @@ def optimal_phase_two_sq(
     """
     _check_omega0(omega0)
 
-    def builder(delta_phi: float):
-        return kernel_two_sq(p1, offset_partner_phase(p1, p2, delta_phi), t)
-
+    coefficients = _partner_coefficients(p1, p2, t, p1.total_phase(t), include_xpm=False)
     n1 = p1.mean_photons(t)
     n2 = p2.mean_photons(t)
     phi1 = p1.spm_phase(t)
@@ -256,7 +292,7 @@ def optimal_phase_two_sq(
     imbalance = n1 * phi2 - n2 * phi1
     weight = n1 * phi2**2 + n2 * phi1**2
     if weight == 0.0:
-        return _degenerate(builder, omega0, resolution)
+        return _degenerate(coefficients, omega0, resolution)
     lor0 = lorentzian(omega0)
     delta_phi = 0.5 * math.atan(imbalance / (lor0 * weight)) + phi1 - phi2
     s_closed = (
@@ -264,7 +300,7 @@ def optimal_phase_two_sq(
         + 2.0 * weight * lor0**2
         - 2.0 * lor0 * math.sqrt(imbalance**2 + (lor0 * weight) ** 2)
     )
-    return _assemble(delta_phi, s_closed, builder, omega0, resolution)
+    return _assemble(delta_phi, s_closed, coefficients, omega0, resolution)
 
 
 def optimal_phase_xpm(
@@ -284,9 +320,9 @@ def optimal_phase_xpm(
     """
     _check_omega0(omega0)
 
-    def builder(delta_phi: float):
-        return kernel_xpm(p1, offset_partner_phase(p1, p2, delta_phi), t)
-
+    coefficients = _partner_coefficients(
+        p1, p2, t, p1.total_phase(t, include_xpm=True), include_xpm=True
+    )
     n1 = p1.mean_photons(t)
     n2 = p2.mean_photons(t)
     phi1 = p1.spm_phase(t)
@@ -296,7 +332,7 @@ def optimal_phase_xpm(
     imbalance = n1 * phi2 - n2 * phi1
     weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
     if weight == 0.0:
-        return _degenerate(builder, omega0, resolution)
+        return _degenerate(coefficients, omega0, resolution)
     lor0 = lorentzian(omega0)
     delta_phi = (
         0.5 * math.atan(imbalance / (lor0 * weight)) + phi1 - phi2 - phix1 + phix2
@@ -306,7 +342,7 @@ def optimal_phase_xpm(
         + 2.0 * weight * lor0**2
         - 2.0 * lor0 * math.sqrt(imbalance**2 + (lor0 * weight) ** 2)
     )
-    return _assemble(delta_phi, s_closed, builder, omega0, resolution)
+    return _assemble(delta_phi, s_closed, coefficients, omega0, resolution)
 
 
 def optimal_phase_bs_s01(
@@ -348,14 +384,19 @@ def optimal_phase_bs_s01(
             f"(equal Kerr couplings); got imbalance {balance:g}"
         )
 
-    def builder(delta_phi: float):
-        return kernel_bs_s01(offset_bs_input_phase(p1, p2, delta_phi), p2, bs, t, which)
+    sign = 1.0 if which is StokesIndex.S0 else -1.0
+    kerr1 = p1.kerr_phase(t)
+    total2 = p2.total_phase(t)
+
+    def coefficients(delta_phi):
+        # kernel_bs_s01 with pulse 1 at offset_bs_input_phase(p1, p2, delta_phi)
+        dphi = (kerr1 + (p2.phi_lin + delta_phi)) - total2
+        return bs_s01_coefficients(dphi, n1, n2, phi1, phi2, bs.r, bs.t, sign)
 
     weight = n1 * phi2**2 + n2 * phi1**2
     if bs.r * bs.t == 0.0 or weight == 0.0:
-        return _degenerate(builder, omega0, resolution)
+        return _degenerate(coefficients, omega0, resolution)
 
-    sign = 1.0 if which is StokesIndex.S0 else -1.0
     numerator = bs.r * n1 + sign * bs.t * n2
     lor0 = lorentzian(omega0)
     vertex_cos = (
@@ -366,10 +407,10 @@ def optimal_phase_bs_s01(
     s_closed = 1.0 - numerator**2 / (n1 + n2)
     if abs(vertex_cos) > 1.0:
         return _assemble(
-            math.nan, s_closed, builder, omega0, resolution, ("arccos-domain",)
+            math.nan, s_closed, coefficients, omega0, resolution, ("arccos-domain",)
         )
     delta_phi = math.acos(vertex_cos) - phi1 + phi2
-    return _assemble(delta_phi, s_closed, builder, omega0, resolution)
+    return _assemble(delta_phi, s_closed, coefficients, omega0, resolution)
 
 
 def optimal_phase_bs_s2(
@@ -408,13 +449,18 @@ def optimal_phase_bs_s2(
             f"(phi_lin1 - phi_lin2 == pi/2 within {CONTRACT_TOL}); got {lock:g}"
         )
 
-    def builder(delta_phi: float):
-        return kernel_bs_s2(p1, p2, offset_bs_probe_phase(p2, p3, delta_phi), bs, t)
+    n3 = p3.mean_photons(t)
+    total1 = p1.total_phase(t)
+    total2 = p2.total_phase(t)
+
+    def coefficients(delta_phi):
+        # kernel_bs_s2 with the probe at offset_bs_probe_phase(p2, p3, delta_phi)
+        phi_lin3 = p2.phi_lin - delta_phi
+        return bs_s2_coefficients(total1 - phi_lin3, total2 - phi_lin3, n3, phi1, phi2, bs.r, bs.t)
 
     phi = phi1
-    n3 = p3.mean_photons(t)
     if n3 * phi == 0.0:
-        return _degenerate(builder, omega0, resolution)
+        return _degenerate(coefficients, omega0, resolution)
     lor0 = lorentzian(omega0)
     rt_diff = bs.r - bs.t
     if rt_diff == 0.0:
@@ -426,4 +472,4 @@ def optimal_phase_bs_s2(
         + 2.0 * n3 * phi**2 * lor0**2
         - 2.0 * n3 * phi * lor0 * math.sqrt(1.0 + rt_diff**2 * phi**2 * lor0**2)
     )
-    return _assemble(delta_phi, s_closed, builder, omega0, resolution)
+    return _assemble(delta_phi, s_closed, coefficients, omega0, resolution)

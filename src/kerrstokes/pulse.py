@@ -21,6 +21,7 @@ partner pulse is included.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 import warnings
@@ -138,13 +139,29 @@ class PulseSpec:
         """XPM coherence damping exponent mux(t) = gamma_x^2 nbar(t) / 2."""
         return self.gamma_x * self.gamma_x * self.mean_photons(t) / 2.0
 
-    def total_phase(self, t, include_xpm: bool = False):
-        """Accumulated optical phase at time t.
+    def kerr_phase(self, t, include_xpm: bool = False):
+        """Nonlinear part of the optical phase at time t: phi, or phi - phix.
 
         With ``include_xpm`` the cross-Kerr contribution enters with the
         opposite sign to the self-action term, reflecting the relative sign
         of the two couplings in the interaction picture used here.
         """
         if include_xpm:
-            return (self.spm_phase(t) - self.xpm_phase(t)) + self.phi_lin
-        return self.spm_phase(t) + self.phi_lin
+            return self.spm_phase(t) - self.xpm_phase(t)
+        return self.spm_phase(t)
+
+    def total_phase(self, t, include_xpm: bool = False):
+        """Accumulated optical phase at time t: kerr_phase(t) + phi_lin."""
+        return self.kerr_phase(t, include_xpm) + self.phi_lin
+
+    def with_phase(self, phi_lin: float) -> "PulseSpec":
+        """Copy of this pulse with another linear phase.
+
+        Only the new phase is checked: the couplings are unchanged, so the
+        weak-coupling warning of the original is not issued again.
+        """
+        if not (isinstance(phi_lin, (int, float)) and math.isfinite(phi_lin)):
+            raise ValueError(f"phi_lin must be a finite number, got {phi_lin!r}")
+        clone = copy.copy(self)
+        object.__setattr__(clone, "phi_lin", phi_lin)
+        return clone

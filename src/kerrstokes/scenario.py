@@ -25,6 +25,7 @@ from .errors import ConfigValidationError, ValidationIssue
 from .kernel import RelaxationKernel
 from .optimize import (
     PhaseOptimum,
+    _degenerate,
     offset_bs_input_phase,
     offset_bs_probe_phase,
     offset_partner_phase,
@@ -33,7 +34,6 @@ from .optimize import (
     optimal_phase_coh_sq,
     optimal_phase_two_sq,
     optimal_phase_xpm,
-    scan_phase,
 )
 from .pulse import GAMMA_WEAK_LIMIT, PulseSpec
 from .spectra import (
@@ -400,11 +400,9 @@ def _shift_optimum(opt: PhaseOptimum, shift: float) -> PhaseOptimum:
     )
 
 
-def _degenerate_optimum(builder, omega0: float) -> PhaseOptimum:
-    delta_phi_num, s_num = scan_phase(builder, omega0)
-    return PhaseOptimum(
-        math.nan, omega0, 1.0, s_num, abs(s_num - 1.0), delta_phi_num, ("degenerate",)
-    )
+def _flat_coefficients(delta_phi):
+    """Kernel coefficients of a conserved Stokes component: zero at every offset."""
+    return 0.0, 0.0
 
 
 def _optimum(config: ScenarioConfig, t: float) -> PhaseOptimum:
@@ -413,10 +411,7 @@ def _optimum(config: ScenarioConfig, t: float) -> PhaseOptimum:
     p = config.pulses
     if config.kind is not ScenarioKind.BS_INTERF:
         if index in (StokesIndex.S0, StokesIndex.S1):
-            def builder(delta_phi):
-                return _build_kernel(config, _apply_offset(config, p, delta_phi), t)
-
-            return _degenerate_optimum(builder, omega0)
+            return _degenerate(_flat_coefficients, omega0)
         picker = {
             ScenarioKind.COH_SQ: optimal_phase_coh_sq,
             ScenarioKind.TWO_SQ: optimal_phase_two_sq,

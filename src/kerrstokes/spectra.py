@@ -17,7 +17,11 @@ S below 1 signal squeezing of the corresponding Stokes component.  The
 normalized version S* = (S - 1) / reference_intensity rescales the
 squeezing/excess relative to a chosen shot-noise intensity.
 
-Builders are provided for the four overlap scenarios.  The S3 kernels
+Builders are provided for the four overlap scenarios.  Each evaluates
+the coefficient core of its kernel family (single-port, beam-splitter
+S0/S1, beam-splitter S2); the cores also accept ndarrays of interference
+angles, which is how the phase scan in :mod:`kerrstokes.optimize`
+evaluates many offsets at once.  The S3 kernels
 follow from the S2 ones by advancing every interference angle by pi/2,
 which swaps the roles of the cos/sin quadratures; S0 and S1 are conserved
 in the single-port scenarios, giving the flat kernel a_h = b_g = 0.
@@ -45,7 +49,11 @@ __all__ = [
     "kernel_xpm",
     "kernel_bs_s01",
     "kernel_bs_s2",
+    "single_port_coefficients",
+    "bs_s01_coefficients",
+    "bs_s2_coefficients",
     "spectrum",
+    "spectrum_from_coefficients",
     "spectrum_value",
 ]
 
@@ -81,6 +89,60 @@ def _flat(t: float, index: StokesIndex) -> CorrelationKernel:
     return CorrelationKernel(0.0, 0.0, t, index)
 
 
+def _kernel(coefficients, t: float, index: StokesIndex) -> CorrelationKernel:
+    a_h, b_g = coefficients
+    return CorrelationKernel(float(a_h), float(b_g), t, index)
+
+
+def _square(x):
+    """x^2 through libm pow, like Python's float ``**``.
+
+    ``ndarray ** 2`` rounds as x * x, which differs from pow(x, 2) by one
+    ulp for about 0.1 % of arguments; float_power keeps array and scalar
+    evaluations of the kernels bit-identical.
+    """
+    return np.float_power(x, 2)
+
+
+# Coefficient cores, one per kernel family.  Each maps pulse scalars and
+# interference angles to (a_h, b_g); the angles may be ndarrays (the phase
+# scan evaluates all its offsets in one call) and then so are the results.
+
+
+def single_port_coefficients(theta, n1, n2, phi1, phi2, phix1=0.0, phix2=0.0):
+    """(a_h, b_g) of the single-port family at interference angle ``theta``.
+
+    a_h = (nbar1 phi2 - nbar2 phi1) sin(2 theta)
+    b_g = (nbar1 [phi2^2 + phix2^2] + nbar2 [phi1^2 + phix1^2]) sin(theta)^2
+
+    two_sq is the case phix = 0 and coh_sq additionally has phi1 = 0; the
+    vanishing terms drop out exactly, so all three kinds share these bits.
+    """
+    a_h = (n1 * phi2 - n2 * phi1) * np.sin(2.0 * theta)
+    b_g = (n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)) * _square(np.sin(theta))
+    return a_h, b_g
+
+
+def bs_s01_coefficients(dphi, n1, n2, phi1, phi2, ref, trans, sign):
+    """(a_h, b_g) of beam-splitter S0 (sign +1) or S1 (sign -1) at angle ``dphi``."""
+    cos = np.cos(dphi)
+    beat = (
+        2.0 * math.sqrt(ref * trans) * math.sqrt(n1 * n2) * (ref * phi1 + sign * trans * phi2) * cos
+    )
+    spm = ref * trans * (n1 * phi2 - n2 * phi1) * np.sin(2.0 * dphi)
+    b_g = ref * trans * (n1 * phi2**2 + n2 * phi1**2) * _square(cos)
+    return -(beat + spm), b_g
+
+
+def bs_s2_coefficients(psi1, psi2, n3, phi1, phi2, ref, trans):
+    """(a_h, b_g) of beam-splitter S2 at probe angles ``psi1``, ``psi2``."""
+    a_h = n3 * (ref * phi1 * np.sin(2.0 * psi1) - trans * phi2 * np.sin(2.0 * psi2))
+    b_g = n3 * (
+        ref * phi1**2 * _square(np.cos(psi1)) + trans * phi2**2 * _square(np.sin(psi2))
+    )
+    return a_h, b_g
+
+
 def kernel_coh_sq(
     p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
 ) -> CorrelationKernel:
@@ -97,11 +159,13 @@ def kernel_coh_sq(
     theta = p1.phi_lin - p2.total_phase(t)
     if index is StokesIndex.S3:
         theta = theta + HALF_PI
-    n1 = p1.mean_photons(t)
-    phi2 = p2.spm_phase(t)
-    a_h = n1 * phi2 * math.sin(2.0 * theta)
-    b_g = n1 * phi2**2 * math.sin(theta) ** 2
-    return CorrelationKernel(a_h, b_g, t, index)
+    return _kernel(
+        single_port_coefficients(
+            theta, p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
+        ),
+        t,
+        index,
+    )
 
 
 def kernel_two_sq(
@@ -118,14 +182,13 @@ def kernel_two_sq(
     theta = p1.total_phase(t) - p2.total_phase(t)
     if index is StokesIndex.S3:
         theta = theta + HALF_PI
-    n1 = p1.mean_photons(t)
-    n2 = p2.mean_photons(t)
-    phi1 = p1.spm_phase(t)
-    phi2 = p2.spm_phase(t)
-    sin_sq = math.sin(theta) ** 2
-    a_h = (n1 * phi2 - n2 * phi1) * math.sin(2.0 * theta)
-    b_g = (n1 * phi2**2 + n2 * phi1**2) * sin_sq
-    return CorrelationKernel(a_h, b_g, t, index)
+    return _kernel(
+        single_port_coefficients(
+            theta, p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
+        ),
+        t,
+        index,
+    )
 
 
 def kernel_xpm(
@@ -144,16 +207,19 @@ def kernel_xpm(
     theta = p1.total_phase(t, include_xpm=True) - p2.total_phase(t, include_xpm=True)
     if index is StokesIndex.S3:
         theta = theta + HALF_PI
-    n1 = p1.mean_photons(t)
-    n2 = p2.mean_photons(t)
-    phi1 = p1.spm_phase(t)
-    phi2 = p2.spm_phase(t)
-    phix1 = p1.xpm_phase(t)
-    phix2 = p2.xpm_phase(t)
-    sin_sq = math.sin(theta) ** 2
-    a_h = (n1 * phi2 - n2 * phi1) * math.sin(2.0 * theta)
-    b_g = (n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)) * sin_sq
-    return CorrelationKernel(a_h, b_g, t, index)
+    return _kernel(
+        single_port_coefficients(
+            theta,
+            p1.mean_photons(t),
+            p2.mean_photons(t),
+            p1.spm_phase(t),
+            p2.spm_phase(t),
+            p1.xpm_phase(t),
+            p2.xpm_phase(t),
+        ),
+        t,
+        index,
+    )
 
 
 def kernel_bs_s01(
@@ -173,25 +239,20 @@ def kernel_bs_s01(
     if which not in (StokesIndex.S0, StokesIndex.S1):
         raise ValueError(f"which must be S0 or S1, got {which!r}")
     _require_unit_split(bs)
-    sign = 1.0 if which is StokesIndex.S0 else -1.0
-    ref = bs.r
-    trans = bs.t
-    dphi = p1.total_phase(t) - p2.total_phase(t)
-    n1 = p1.mean_photons(t)
-    n2 = p2.mean_photons(t)
-    phi1 = p1.spm_phase(t)
-    phi2 = p2.spm_phase(t)
-    beat = (
-        2.0
-        * math.sqrt(ref * trans)
-        * math.sqrt(n1 * n2)
-        * (ref * phi1 + sign * trans * phi2)
-        * math.cos(dphi)
+    return _kernel(
+        bs_s01_coefficients(
+            p1.total_phase(t) - p2.total_phase(t),
+            p1.mean_photons(t),
+            p2.mean_photons(t),
+            p1.spm_phase(t),
+            p2.spm_phase(t),
+            bs.r,
+            bs.t,
+            1.0 if which is StokesIndex.S0 else -1.0,
+        ),
+        t,
+        which,
     )
-    spm = ref * trans * (n1 * phi2 - n2 * phi1) * math.sin(2.0 * dphi)
-    a_h = -(beat + spm)
-    b_g = ref * trans * (n1 * phi2**2 + n2 * phi1**2) * math.cos(dphi) ** 2
-    return CorrelationKernel(a_h, b_g, t, which)
 
 
 def kernel_bs_s2(
@@ -219,22 +280,24 @@ def kernel_bs_s2(
     if index is StokesIndex.S3:
         psi1 = psi1 + HALF_PI
         psi2 = psi2 + HALF_PI
-    ref = bs.r
-    trans = bs.t
-    n3 = p3.mean_photons(t)
-    phi1 = p1.spm_phase(t)
-    phi2 = p2.spm_phase(t)
-    a_h = n3 * (ref * phi1 * math.sin(2.0 * psi1) - trans * phi2 * math.sin(2.0 * psi2))
-    b_g = n3 * (
-        ref * phi1**2 * math.cos(psi1) ** 2 + trans * phi2**2 * math.sin(psi2) ** 2
+    return _kernel(
+        bs_s2_coefficients(
+            psi1, psi2, p3.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t), bs.r, bs.t
+        ),
+        t,
+        index,
     )
-    return CorrelationKernel(a_h, b_g, t, index)
+
+
+def spectrum_from_coefficients(a_h, b_g, omega):
+    """S(Omega) = 1 + 2 L a_h + 4 L^2 b_g; any argument may be an ndarray."""
+    lor = lorentzian(omega)
+    return 1.0 + 2.0 * lor * a_h + 4.0 * lor * lor * b_g
 
 
 def spectrum_value(kern: CorrelationKernel, omega) -> float:
     """S(Omega) = 1 + 2 L a_h + 4 L^2 b_g at a single reduced frequency."""
-    lor = lorentzian(omega)
-    return 1.0 + 2.0 * lor * kern.a_h + 4.0 * lor * lor * kern.b_g
+    return spectrum_from_coefficients(kern.a_h, kern.b_g, omega)
 
 
 @dataclass(frozen=True)
@@ -272,7 +335,6 @@ def spectrum(
         raise ValueError(
             f"reference_intensity must be a positive finite number, got {reference_intensity!r}"
         )
-    lor = lorentzian(grid)
-    values = 1.0 + 2.0 * lor * kern.a_h + 4.0 * lor * lor * kern.b_g
+    values = spectrum_from_coefficients(kern.a_h, kern.b_g, grid)
     normalized = (values - 1.0) / reference_intensity
     return SpectrumSeries(grid, values, normalized, float(reference_intensity))

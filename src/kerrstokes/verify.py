@@ -609,7 +609,7 @@ def _check_vector_scalar_consistency(col: _Collector):
 def _check_api_guards(col: _Collector):
     ok = True
     try:
-        scan_phase(lambda d: CorrelationKernel(0.0, 0.0, 0.0, StokesIndex.S2), 0.0, resolution=100)
+        scan_phase(lambda d: (0.0, 0.0), 0.0, resolution=100)
         ok = False
     except ValueError:
         pass

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kerrstokes
 from kerrstokes.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -221,3 +226,45 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+def test_overflowing_kerr_phase_maps_to_validation_exit(tmp_path, capsys):
+    # phi2 = 2 gamma n0 = 1e298 squares past the double range
+    path = tmp_path / "huge.ini"
+    path.write_text(BASIC.replace("n0 = 100", "n0 = 1e300"))
+    code, _, err = run_cli(capsys, "run", "--config", path, "--out", tmp_path / "x.csv")
+    assert code == EXIT_VALIDATION
+    error = stderr_error(err)
+    assert error["code"] == "validation"
+    assert "double precision" in error["issues"][0]["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_nan_optimization_frequency_names_its_field(tmp_path, basic_ini, capsys):
+    code, _, err = run_cli(
+        capsys, "run", "--config", basic_ini, "--out", tmp_path / "x.csv", "--optimize-at", "nan"
+    )
+    assert code == EXIT_VALIDATION
+    assert [i["field"] for i in stderr_error(err)["issues"]] == ["scenario.omega0"]
+
+
+def test_bad_grid_override_names_its_field(tmp_path, basic_ini, capsys):
+    code, _, err = run_cli(
+        capsys, "run", "--config", basic_ini, "--out", tmp_path / "x.csv", "--grid", "3:1:10"
+    )
+    assert code == EXIT_VALIDATION
+    assert [i["field"] for i in stderr_error(err)["issues"]] == ["grid"]
+
+
+def test_figure_with_strong_coupling_keeps_stderr_empty(tmp_path):
+    # figure 8 uses gamma = 0.45, beyond the weak-coupling limit; a fresh
+    # interpreter shows whether any warning reaches the console
+    src = Path(kerrstokes.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "kerrstokes", "figure", "--figure-id", "8", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["files"] == ["fig8_a.csv", "fig8_b.csv"]

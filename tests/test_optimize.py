@@ -21,7 +21,12 @@ from kerrstokes.optimize import (
 )
 from kerrstokes.pulse import PulseSpec
 from kerrstokes.scenario import BeamSplitter
-from kerrstokes.spectra import StokesIndex, kernel_coh_sq, spectrum_value
+from kerrstokes.spectra import (
+    StokesIndex,
+    kernel_coh_sq,
+    single_port_coefficients,
+    spectrum_value,
+)
 
 WEAK = st.floats(min_value=0.001, max_value=0.01)
 INTENSITY = st.floats(min_value=0.5, max_value=200.0)
@@ -171,27 +176,24 @@ class TestBeamSplitterS2:
         assert opt.s_min_numeric == pytest.approx(deeper, abs=1e-9)
 
 
+def unit_pair_coefficients(dphi):
+    """coh_sq (a_h, b_g) of COHERENT_UNIT and KERR_UNIT_PHI at offset dphi."""
+    theta = -(1.0 + dphi)  # phi_lin1 - Phi2 with phi2 = 1, phi_lin1 = 0
+    return single_port_coefficients(theta, 1.0, 100.0, 0.0, 1.0)
+
+
 def test_scan_needs_enough_resolution():
-    builder = lambda dphi: kernel_coh_sq(
-        COHERENT_UNIT, offset_partner_phase(COHERENT_UNIT, KERR_UNIT_PHI, dphi), 0.0
-    )
     with pytest.raises(ValueError, match="resolution"):
-        scan_phase(builder, 0.0, resolution=100)
+        scan_phase(unit_pair_coefficients, 0.0, resolution=100)
 
 
 def test_scan_rejects_negative_frequency():
-    builder = lambda dphi: kernel_coh_sq(
-        COHERENT_UNIT, offset_partner_phase(COHERENT_UNIT, KERR_UNIT_PHI, dphi), 0.0
-    )
     with pytest.raises(ValueError):
-        scan_phase(builder, -1.0)
+        scan_phase(unit_pair_coefficients, -1.0)
 
 
 def test_scan_finds_known_minimum():
-    builder = lambda dphi: kernel_coh_sq(
-        COHERENT_UNIT, offset_partner_phase(COHERENT_UNIT, KERR_UNIT_PHI, dphi), 0.0
-    )
-    phi, s_min = scan_phase(builder, 0.0)
+    phi, s_min = scan_phase(unit_pair_coefficients, 0.0)
     assert 0.0 <= phi < 2 * math.pi
     assert s_min == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), abs=1e-9)
 

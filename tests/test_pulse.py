@@ -96,3 +96,16 @@ def test_spm_phase_linear_in_peak_photons(n0, gamma):
     doubled = PulseSpec(n0=2 * n0, gamma=gamma).spm_phase(0.0)
     single = PulseSpec(n0=n0, gamma=gamma).spm_phase(0.0)
     assert doubled == pytest.approx(2 * single, rel=1e-12, abs=1e-300)
+
+
+def test_with_phase_changes_only_the_linear_phase():
+    with pytest.warns(ApproximationWarning):
+        strong = PulseSpec(n0=3.0, envelope=Envelope(EnvelopeShape.SECH, 1.5), gamma=0.45)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the coupling was already reported
+        moved = strong.with_phase(0.8)
+    with pytest.warns(ApproximationWarning):
+        assert moved == PulseSpec(n0=3.0, envelope=strong.envelope, gamma=0.45, phi_lin=0.8)
+    assert strong.phi_lin == 0.0
+    with pytest.raises(ValueError, match="phi_lin"):
+        strong.with_phase(math.nan)
