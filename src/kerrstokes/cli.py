@@ -28,7 +28,7 @@ from . import __version__
 from .config_io import dump_reference_path, load_config
 from .errors import ConfigParseError, ConfigValidationError, ScenarioContractError
 from .figures import figure_preset
-from .scenario import OmegaGrid, collect_issues, run
+from .scenario import OmegaGrid, run
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -51,34 +51,29 @@ def _emit_error(code: str, exit_code: int, issues) -> int:
     return exit_code
 
 
-def _finite_or_none(value):
-    if value is None:
-        return None
-    return value if math.isfinite(value) else None
+def _fields(record, *finite):
+    """A result dataclass as a JSON object; the ``finite`` fields map non-finite
+    values to null."""
+    payload = dataclasses.asdict(record)
+    for name in finite:
+        payload[name] = payload[name] if math.isfinite(payload[name]) else None
+    return payload
 
 
-def _optimum_payload(optimum):
-    if optimum is None:
-        return None
+def _run_payload(result, **extra):
+    """The JSON object of one run: the fields that the document written by
+    ``--format json`` and the stdout bundle share, plus ``extra`` ones."""
+    optimum = result.optimum
     return {
-        "delta_phi_opt": _finite_or_none(optimum.delta_phi_opt),
-        "delta_phi_numeric": _finite_or_none(optimum.delta_phi_numeric),
-        "omega0": optimum.omega0,
-        "s_min_closed": optimum.s_min_closed,
-        "s_min_numeric": optimum.s_min_numeric,
-        "agreement": optimum.agreement,
-        "flags": list(optimum.flags),
-    }
-
-
-def _summary_payload(summary):
-    return {
-        "s0": summary.s0,
-        "s1": summary.s1,
-        "s2": summary.s2,
-        "s3": summary.s3,
-        "poincare_radius": summary.poincare_radius,
-        "degree_of_polarization": _finite_or_none(summary.degree_of_polarization),
+        "schema_version": SCHEMA_VERSION,
+        "kind": result.config.kind.value,
+        "stokes_index": result.config.stokes_index.value,
+        "summary": _fields(result.summary, "degree_of_polarization"),
+        "optimum": None if optimum is None else _fields(
+            optimum, "delta_phi_opt", "delta_phi_numeric"
+        ),
+        "reference_intensity": result.spectrum.reference_intensity,
+        **extra,
     }
 
 
@@ -135,12 +130,6 @@ def cmd_run(args) -> int:
             )
         except (ScenarioContractError, ValueError) as exc:
             return _emit_error("validation", EXIT_VALIDATION, [("scenario", str(exc))])
-        except OverflowError:
-            message = (
-                "numeric overflow: the photon numbers and Kerr couplings exceed double precision"
-            )
-            return _emit_error("validation", EXIT_VALIDATION, [("scenario", message)])
-        _, warns = collect_issues(config)
 
     out = Path(args.out) if args.out else Path(f"spectrum.{args.format}")
     series = result.spectrum
@@ -148,36 +137,26 @@ def cmd_run(args) -> int:
         if args.format == "csv":
             _write_spectrum_csv(out, series)
         else:
-            document = {
-                "schema_version": SCHEMA_VERSION,
-                "kind": config.kind.value,
-                "stokes_index": config.stokes_index.value,
-                "summary": _summary_payload(result.summary),
-                "optimum": _optimum_payload(result.optimum),
-                "reference_intensity": series.reference_intensity,
-                "spectrum": {
+            document = _run_payload(
+                result,
+                spectrum={
                     "omega": [float(v) for v in series.omega],
                     "s_value": [float(v) for v in series.values],
                     "s_star": [float(v) for v in series.normalized],
                 },
-            }
+            )
             with open(out, "w", encoding="ascii", newline="\n") as handle:
                 json.dump(document, handle, sort_keys=True, indent=1)
                 handle.write("\n")
     except OSError as exc:
         return _emit_error("io", EXIT_IO, [("out", str(exc))])
 
-    bundle = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": config.kind.value,
-        "stokes_index": config.stokes_index.value,
-        "summary": _summary_payload(result.summary),
-        "optimum": _optimum_payload(result.optimum),
-        "reference_intensity": series.reference_intensity,
-        "points": int(series.omega.size),
-        "out": str(out),
-        "warnings": [{"field": w.field, "message": w.message} for w in warns],
-    }
+    bundle = _run_payload(
+        result,
+        points=int(series.omega.size),
+        out=str(out),
+        warnings=[{"field": w.field, "message": w.message} for w in result.warnings],
+    )
     print(json.dumps(bundle, sort_keys=True))
     return EXIT_OK
 

@@ -29,7 +29,7 @@ import configparser
 from .errors import ConfigParseError, ConfigValidationError, ValidationIssue
 from .kernel import RelaxationKernel
 from .pulse import Envelope, EnvelopeShape, PulseSpec
-from .scenario import BeamSplitter, OmegaGrid, ScenarioConfig, ScenarioKind
+from .scenario import _KINDS, BeamSplitter, OmegaGrid, ScenarioConfig, ScenarioKind
 from .spectra import StokesIndex
 
 __all__ = ["load_config", "dump_reference_path"]
@@ -225,10 +225,8 @@ def load_config(path) -> ScenarioConfig:
             except ValueError as exc:
                 issues.append(ValidationIssue("beamsplitter", str(exc)))
 
-    expected = {"coh_sq": 2, "two_sq": 2, "xpm": 2, "bs_interf": 3}.get(
-        kind.value if kind else "", None
-    )
-    if kind is not None and expected is not None and len(pulses) != expected:
+    expected = _KINDS[kind].pulse_count if kind is not None else None
+    if expected is not None and len(pulses) != expected:
         issues.append(
             ValidationIssue(
                 "pulses", f"{kind.value} needs sections pulse1..pulse{expected}, found {len(pulses)}"

@@ -2,11 +2,14 @@
 
 Every scenario leaves one experimentally tunable linear phase offset
 ``delta_phi`` free; the spectra depend on it through interference angles.
-This module provides, per scenario, the closed-form offset that minimizes
-S(Omega0) together with an independent numerical route: a dense scan over
-[0, 2pi) refined by a golden-section search.  Both answers are reported
-side by side in a :class:`PhaseOptimum` and never averaged or substituted
-for one another; disagreements beyond tolerance are flagged, not hidden.
+For each of the three kernel families (single-port, beam-splitter S0/S1,
+beam-splitter S2) this module pairs the closed-form offset that minimizes
+S(Omega0) with an independent numerical route: a dense scan over [0, 2pi)
+refined by a golden-section search.  Both answers are reported side by
+side in a :class:`PhaseOptimum` and never averaged or substituted for one
+another; disagreements beyond tolerance are flagged, not hidden.  The
+single-port kinds coh_sq, two_sq and xpm share one optimizer body; only
+coh_sq keeps a closed form of its own (see :func:`optimal_phase_coh_sq`).
 
 The scan shares only the kernel formulas with the rest of the package:
 each optimizer builds a ``coefficients(delta_phi)`` closure that feeds
@@ -40,6 +43,7 @@ from .spectra import (
     StokesIndex,
     bs_s01_coefficients,
     bs_s2_coefficients,
+    _single_port_scalars,
     single_port_coefficients,
     spectrum_from_coefficients,
 )
@@ -193,6 +197,13 @@ def _assemble(
     resolution: int,
     extra_flags: tuple[str, ...] = (),
 ) -> PhaseOptimum:
+    if not math.isfinite(s_closed):
+        raise ValueError(
+            f"the closed-form S_min({omega0!r}) is not finite: the photon numbers and "
+            "Kerr couplings exceed double precision"
+        )
+    # PhaseOptimum holds Python floats, whichever scalars the closed form used
+    delta_phi_closed, s_closed = float(delta_phi_closed), float(s_closed)
     delta_phi_num, s_num = scan_phase(coefficients, omega0, resolution)
     flags = list(extra_flags)
     if math.isfinite(delta_phi_closed):
@@ -214,28 +225,56 @@ def _degenerate(coefficients, omega0: float, resolution: int = SCAN_RESOLUTION_M
     )
 
 
-def _partner_coefficients(
-    p1: PulseSpec, p2: PulseSpec, t: float, phase1: float, include_xpm: bool
-):
-    """coefficients(delta_phi) of a single-port kernel with pulse 2 offset.
+def _optimal_single_port(
+    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, resolution: int,
+    include_xpm: bool, coherent: bool = False,
+) -> PhaseOptimum:
+    """Optimal phi_lin2 - phi_lin1 of the single-port family.
 
-    Repeats, in the same order, the float operations of
-    ``offset_partner_phase`` and ``total_phase`` for theta = phase1 - Phi2;
-    ``phase1`` is the first pulse's phase term as the kind's kernel forms it.
+    With imbalance D = nbar1 phi2 - nbar2 phi1 and g-kernel weight
+    Sigma_x = nbar1 (phi2^2 + phix2^2) + nbar2 (phi1^2 + phix1^2), the
+    cross phases phix being 0 unless ``include_xpm`` is set:
+
+        delta_phi_opt = arctan(D / (L0 Sigma_x)) / 2
+                        + phi1 - phi2 - phix1 + phix2
+        s_min = 1 + 2 Sigma_x L0^2 - 2 L0 sqrt(D^2 + L0^2 Sigma_x^2)
+
+    A ``coherent`` pulse 1 (coh_sq) uses the special case of
+    :func:`optimal_phase_coh_sq` instead.
     """
-    n1 = p1.mean_photons(t)
-    n2 = p2.mean_photons(t)
-    phi1 = p1.spm_phase(t)
-    phi2 = p2.spm_phase(t)
-    phix1, phix2 = (p1.xpm_phase(t), p2.xpm_phase(t)) if include_xpm else (0.0, 0.0)
+    _check_omega0(omega0)
+    scalars = _single_port_scalars(p1, p2, t, include_xpm)
+    phase1 = p1.total_phase(t, include_xpm)
     kerr2 = p2.kerr_phase(t, include_xpm)
     phi_lin1 = p1.phi_lin
 
     def coefficients(delta_phi):
+        # the single-port kernel with pulse 2 at offset_partner_phase(p1, p2, delta_phi)
         theta = phase1 - (kerr2 + (phi_lin1 + delta_phi))
-        return single_port_coefficients(theta, n1, n2, phi1, phi2, phix1, phix2)
+        return single_port_coefficients(theta, *scalars)
 
-    return coefficients
+    # numpy scalars, so that the closed form overflows to inf (see _assemble)
+    n1, n2, phi1, phi2, phix1, phix2 = map(np.float64, scalars)
+    imbalance = n1 * phi2 - n2 * phi1
+    weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
+    if (n1 * phi2 if coherent else weight) == 0.0:
+        return _degenerate(coefficients, omega0, resolution)
+    lor0 = lorentzian(omega0)
+    if coherent:  # the general form would move s_min by one ulp
+        delta_phi = 0.5 * math.atan(1.0 / (lor0 * phi2)) - phi2
+        s_closed = (
+            1.0
+            + 2.0 * n1 * phi2**2 * lor0**2
+            - 2.0 * n1 * phi2 * lor0 * math.sqrt(1.0 + phi2**2 * lor0**2)
+        )
+    else:
+        delta_phi = 0.5 * math.atan(imbalance / (lor0 * weight)) + phi1 - phi2 - phix1 + phix2
+        s_closed = (
+            1.0
+            + 2.0 * weight * lor0**2
+            - 2.0 * lor0 * math.sqrt(imbalance**2 + (lor0 * weight) ** 2)
+        )
+    return _assemble(delta_phi, s_closed, coefficients, omega0, resolution)
 
 
 def optimal_phase_coh_sq(
@@ -253,96 +292,56 @@ def optimal_phase_coh_sq(
     spectrum is identically 1 (degenerate optimum).
     """
     _require_coherent(p1, "pulse 1")
-    _check_omega0(omega0)
-
-    coefficients = _partner_coefficients(p1, p2, t, p1.phi_lin, include_xpm=False)
-    n1 = p1.mean_photons(t)
-    phi2 = p2.spm_phase(t)
-    if n1 * phi2 == 0.0:
-        return _degenerate(coefficients, omega0, resolution)
-    lor0 = lorentzian(omega0)
-    delta_phi = 0.5 * math.atan(1.0 / (lor0 * phi2)) - phi2
-    s_closed = (
-        1.0
-        + 2.0 * n1 * phi2**2 * lor0**2
-        - 2.0 * n1 * phi2 * lor0 * math.sqrt(1.0 + phi2**2 * lor0**2)
-    )
-    return _assemble(delta_phi, s_closed, coefficients, omega0, resolution)
+    return _optimal_single_port(p1, p2, t, omega0, resolution, include_xpm=False, coherent=True)
 
 
 def optimal_phase_two_sq(
     p1: PulseSpec, p2: PulseSpec, t: float, omega0: float,
     resolution: int = SCAN_RESOLUTION_MIN,
 ) -> PhaseOptimum:
-    """Optimal phi_lin2 - phi_lin1 for two Kerr-squeezed pulses.
-
-    With imbalance D = nbar1 phi2 - nbar2 phi1 and weight
-    Sigma = nbar1 phi2^2 + nbar2 phi1^2:
-
-        delta_phi_opt = arctan(D / (L0 Sigma)) / 2 + phi1 - phi2
-        s_min = 1 + 2 Sigma L0^2 - 2 L0 sqrt(D^2 + L0^2 Sigma^2)
-    """
-    _check_omega0(omega0)
-
-    coefficients = _partner_coefficients(p1, p2, t, p1.total_phase(t), include_xpm=False)
-    n1 = p1.mean_photons(t)
-    n2 = p2.mean_photons(t)
-    phi1 = p1.spm_phase(t)
-    phi2 = p2.spm_phase(t)
-    imbalance = n1 * phi2 - n2 * phi1
-    weight = n1 * phi2**2 + n2 * phi1**2
-    if weight == 0.0:
-        return _degenerate(coefficients, omega0, resolution)
-    lor0 = lorentzian(omega0)
-    delta_phi = 0.5 * math.atan(imbalance / (lor0 * weight)) + phi1 - phi2
-    s_closed = (
-        1.0
-        + 2.0 * weight * lor0**2
-        - 2.0 * lor0 * math.sqrt(imbalance**2 + (lor0 * weight) ** 2)
-    )
-    return _assemble(delta_phi, s_closed, coefficients, omega0, resolution)
+    """Optimal phi_lin2 - phi_lin1 for two Kerr-squeezed pulses (phix = 0;
+    any gamma_x is ignored)."""
+    return _optimal_single_port(p1, p2, t, omega0, resolution, include_xpm=False)
 
 
 def optimal_phase_xpm(
     p1: PulseSpec, p2: PulseSpec, t: float, omega0: float,
     resolution: int = SCAN_RESOLUTION_MIN,
 ) -> PhaseOptimum:
-    """Optimal phi_lin2 - phi_lin1 with SPM and mutual XPM.
+    """Optimal phi_lin2 - phi_lin1 with SPM and mutual XPM."""
+    return _optimal_single_port(p1, p2, t, omega0, resolution, include_xpm=True)
 
-    Same structure as the two-pulse case with the g-kernel weight extended
-    by the cross couplings,
-    Sigma_x = nbar1 (phi2^2 + phix2^2) + nbar2 (phi1^2 + phix1^2), and the
-    offset shifted by the XPM phases:
 
-        delta_phi_opt = arctan(D / (L0 Sigma_x)) / 2
-                        + phi1 - phi2 - phix1 + phix2
-        s_min = 1 + 2 Sigma_x L0^2 - 2 L0 sqrt(D^2 + L0^2 Sigma_x^2)
+def _bs_contract_issues(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex) -> list[str]:
+    """Violated preconditions of a beam-splitter closed form, as messages.
+
+    S0/S1 needs the balance nbar1 phi2 == nbar2 phi1; S2/S3 needs equal SPM
+    phases and inputs locked in quadrature.  The optimizers raise the first
+    one as a ScenarioContractError; scenario validation reports them all.
     """
-    _check_omega0(omega0)
-
-    coefficients = _partner_coefficients(
-        p1, p2, t, p1.total_phase(t, include_xpm=True), include_xpm=True
-    )
-    n1 = p1.mean_photons(t)
-    n2 = p2.mean_photons(t)
-    phi1 = p1.spm_phase(t)
-    phi2 = p2.spm_phase(t)
-    phix1 = p1.xpm_phase(t)
-    phix2 = p2.xpm_phase(t)
-    imbalance = n1 * phi2 - n2 * phi1
-    weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
-    if weight == 0.0:
-        return _degenerate(coefficients, omega0, resolution)
-    lor0 = lorentzian(omega0)
-    delta_phi = (
-        0.5 * math.atan(imbalance / (lor0 * weight)) + phi1 - phi2 - phix1 + phix2
-    )
-    s_closed = (
-        1.0
-        + 2.0 * weight * lor0**2
-        - 2.0 * lor0 * math.sqrt(imbalance**2 + (lor0 * weight) ** 2)
-    )
-    return _assemble(delta_phi, s_closed, coefficients, omega0, resolution)
+    phi1, phi2 = p1.spm_phase(t), p2.spm_phase(t)
+    if index in (StokesIndex.S0, StokesIndex.S1):
+        balance = p1.mean_photons(t) * phi2 - p2.mean_photons(t) * phi1
+        if abs(balance) > CONTRACT_TOL:
+            return [
+                "beam-splitter S0/S1 optimization requires the balance "
+                f"nbar1 phi2 == nbar2 phi1 within {CONTRACT_TOL:g} "
+                f"(equal Kerr couplings); got imbalance {balance:g}"
+            ]
+        return []
+    problems = []
+    if abs(phi1 - phi2) > CONTRACT_TOL:
+        problems.append(
+            "beam-splitter S2/S3 optimization requires equal SPM phases "
+            f"(phi1 == phi2 within {CONTRACT_TOL:g}); got {phi1:g} and {phi2:g}"
+        )
+    lock = p1.phi_lin - p2.phi_lin
+    if abs(lock - 0.5 * math.pi) > CONTRACT_TOL:
+        problems.append(
+            "beam-splitter S2/S3 optimization requires quadrature-locked inputs "
+            f"(phi_lin1 - phi_lin2 == pi/2 within {CONTRACT_TOL:g}); got {lock:g}"
+        )
+    return problems
 
 
 def optimal_phase_bs_s01(
@@ -372,17 +371,13 @@ def optimal_phase_bs_s01(
     _require_unit_split(bs)
     _check_omega0(omega0)
 
-    n1 = p1.mean_photons(t)
-    n2 = p2.mean_photons(t)
-    phi1 = p1.spm_phase(t)
-    phi2 = p2.spm_phase(t)
-    balance = n1 * phi2 - n2 * phi1
-    if abs(balance) > CONTRACT_TOL:
-        raise ScenarioContractError(
-            "beam-splitter S0/S1 optimization requires the balance "
-            f"nbar1 phi2 == nbar2 phi1 within {CONTRACT_TOL} "
-            f"(equal Kerr couplings); got imbalance {balance:g}"
-        )
+    problems = _bs_contract_issues(p1, p2, t, which)
+    if problems:
+        raise ScenarioContractError(problems[0])
+    # numpy scalars, so that the closed form overflows to inf (see _assemble)
+    n1, n2, phi1, phi2 = map(
+        np.float64, (p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t))
+    )
 
     sign = 1.0 if which is StokesIndex.S0 else -1.0
     kerr1 = p1.kerr_phase(t)
@@ -435,21 +430,12 @@ def optimal_phase_bs_s2(
     _require_unit_split(bs)
     _require_coherent(p3, "probe pulse 3")
     _check_omega0(omega0)
-    phi1 = p1.spm_phase(t)
-    phi2 = p2.spm_phase(t)
-    if abs(phi1 - phi2) > CONTRACT_TOL:
-        raise ScenarioContractError(
-            "beam-splitter S2 optimization requires equal SPM phases "
-            f"(phi1 == phi2 within {CONTRACT_TOL}); got {phi1:g} and {phi2:g}"
-        )
-    lock = p1.phi_lin - p2.phi_lin
-    if abs(lock - 0.5 * math.pi) > CONTRACT_TOL:
-        raise ScenarioContractError(
-            "beam-splitter S2 optimization requires quadrature-locked inputs "
-            f"(phi_lin1 - phi_lin2 == pi/2 within {CONTRACT_TOL}); got {lock:g}"
-        )
+    problems = _bs_contract_issues(p1, p2, t, StokesIndex.S2)
+    if problems:
+        raise ScenarioContractError(problems[0])
+    # numpy scalars, so that the closed form overflows to inf (see _assemble)
+    n3, phi1, phi2 = map(np.float64, (p3.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)))
 
-    n3 = p3.mean_photons(t)
     total1 = p1.total_phase(t)
     total2 = p2.total_phase(t)
 

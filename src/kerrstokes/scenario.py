@@ -9,7 +9,9 @@ raises a :class:`~kerrstokes.errors.ConfigValidationError` carrying all
 problems at once or returns the config (emitting structured warnings for
 non-fatal findings).  :func:`run` produces average Stokes parameters, the
 fluctuation spectrum on the grid and, when Omega0 is given, the phase
-optimum; the spectrum is then evaluated at the optimal phase offset.
+optimum; the spectrum is then evaluated at the optimal phase offset.  What
+differs between kinds (pulse count, coherent pulses, kernel, averages,
+phase-offset convention, optimum, default reference) sits in one table.
 """
 
 from __future__ import annotations
@@ -17,44 +19,27 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import optimize, spectra, stokes
 from .errors import ConfigValidationError, ValidationIssue
 from .kernel import RelaxationKernel
 from .optimize import (
     PhaseOptimum,
+    _bs_contract_issues,
     _degenerate,
     offset_bs_input_phase,
     offset_bs_probe_phase,
     offset_partner_phase,
     optimal_phase_bs_s01,
     optimal_phase_bs_s2,
-    optimal_phase_coh_sq,
-    optimal_phase_two_sq,
-    optimal_phase_xpm,
 )
 from .pulse import GAMMA_WEAK_LIMIT, PulseSpec
-from .spectra import (
-    CorrelationKernel,
-    SpectrumSeries,
-    StokesIndex,
-    kernel_bs_s01,
-    kernel_bs_s2,
-    kernel_coh_sq,
-    kernel_two_sq,
-    kernel_xpm,
-    spectrum,
-)
-from .stokes import (
-    BS_UNITARITY_TOL,
-    StokesSummary,
-    averages_bs,
-    averages_coh_sq,
-    averages_two_sq,
-    averages_xpm,
-)
+from .spectra import HALF_PI, SpectrumSeries, StokesIndex, kernel_bs_s01, kernel_bs_s2, spectrum
+from .stokes import BS_UNITARITY_TOL, StokesSummary, averages_bs
 
 __all__ = [
     "ScenarioKind",
@@ -68,9 +53,6 @@ __all__ = [
     "run",
 ]
 
-HALF_PI = 0.5 * math.pi
-BALANCE_TOL = 1e-9
-
 
 class ValidationWarning(UserWarning):
     """Non-fatal scenario-level finding raised by :func:`validate`."""
@@ -81,14 +63,6 @@ class ScenarioKind(enum.Enum):
     TWO_SQ = "two_sq"        # two independently Kerr-squeezed pulses
     XPM = "xpm"              # co-propagating pulses with mutual cross-Kerr coupling
     BS_INTERF = "bs_interf"  # beam-splitter mixing plus a coherent probe
-
-
-_PULSE_COUNT = {
-    ScenarioKind.COH_SQ: 2,
-    ScenarioKind.TWO_SQ: 2,
-    ScenarioKind.XPM: 2,
-    ScenarioKind.BS_INTERF: 3,
-}
 
 
 @dataclass(frozen=True)
@@ -176,20 +150,14 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """Outcome of :func:`run`; ``warnings`` holds the non-fatal issues of
+    :func:`collect_issues`, which the run has already issued as warnings."""
+
     config: ScenarioConfig
     summary: StokesSummary
     spectrum: SpectrumSeries
     optimum: PhaseOptimum | None
-
-
-def _default_reference(config: ScenarioConfig) -> float:
-    """Shot-noise reference intensity used for S* when no override is given."""
-    t = config.analysis_time
-    if config.kind is ScenarioKind.BS_INTERF:
-        if config.stokes_index in (StokesIndex.S0, StokesIndex.S1):
-            return config.pulses[0].mean_photons(t) + config.pulses[1].mean_photons(t)
-        return config.pulses[2].mean_photons(t)
-    return config.pulses[0].mean_photons(t)
+    warnings: tuple[ValidationIssue, ...] = ()
 
 
 def collect_issues(
@@ -205,7 +173,7 @@ def collect_issues(
     kind = config.kind
     t = config.analysis_time
 
-    expected = _PULSE_COUNT[kind]
+    expected = _KINDS[kind].pulse_count
     if len(config.pulses) != expected:
         errors.append(
             ValidationIssue(
@@ -227,25 +195,19 @@ def collect_issues(
                         f"r + t must equal 1 within {BS_UNITARITY_TOL:g}, got {total!r}",
                     )
                 )
-        if config.pulses[2].gamma != 0.0:
-            errors.append(
-                ValidationIssue(
-                    "pulse3.gamma",
-                    f"probe pulse must be coherent (gamma == 0), got {config.pulses[2].gamma}",
-                )
-            )
     elif config.beamsplitter is not None:
         errors.append(
             ValidationIssue("beamsplitter", f"{kind.value} does not use a beam splitter")
         )
 
-    if kind is ScenarioKind.COH_SQ and config.pulses[0].gamma != 0.0:
-        errors.append(
-            ValidationIssue(
-                "pulse1.gamma",
-                f"pulse 1 must be coherent (gamma == 0), got {config.pulses[0].gamma}",
+    for i, role in _KINDS[kind].coherent:
+        gamma = config.pulses[i].gamma
+        if gamma != 0.0:
+            errors.append(
+                ValidationIssue(
+                    f"pulse{i + 1}.gamma", f"{role} must be coherent (gamma == 0), got {gamma}"
+                )
             )
-        )
 
     for i, pulse in enumerate(config.pulses, start=1):
         if kind is not ScenarioKind.XPM and pulse.gamma_x != 0.0:
@@ -282,7 +244,7 @@ def collect_issues(
         errors.append(
             ValidationIssue("scenario.normalization", f"must be > 0, got {config.normalization}")
         )
-    elif config.normalization is None and _default_reference(config) <= 0.0:
+    elif config.normalization is None and _KINDS[kind].reference(config, t) <= 0.0:
         errors.append(
             ValidationIssue(
                 "scenario.normalization",
@@ -300,89 +262,33 @@ def _optimization_issues(config, t, errors, warns):
     """Contract checks that only matter once an optimization is requested."""
     kind = config.kind
     index = config.stokes_index
-    if kind is not ScenarioKind.BS_INTERF:
-        if index in (StokesIndex.S0, StokesIndex.S1):
-            warns.append(
-                ValidationIssue(
-                    "scenario.stokes_index",
-                    f"{index.value} is conserved in {kind.value}; the spectrum is flat "
-                    "and the phase optimum is degenerate",
-                )
-            )
-        return
-    p1, p2 = config.pulses[0], config.pulses[1]
-    if index in (StokesIndex.S0, StokesIndex.S1):
-        imbalance = p1.mean_photons(t) * p2.spm_phase(t) - p2.mean_photons(t) * p1.spm_phase(t)
-        if abs(imbalance) > BALANCE_TOL:
-            errors.append(
-                ValidationIssue(
-                    "pulses",
-                    "S0/S1 optimization needs the balance nbar1 phi2 == nbar2 phi1 "
-                    f"within {BALANCE_TOL:g} (equal Kerr couplings); got imbalance "
-                    f"{imbalance:g}",
-                )
-            )
-        return
-    phi1 = p1.spm_phase(t)
-    phi2 = p2.spm_phase(t)
-    if abs(phi1 - phi2) > BALANCE_TOL:
-        errors.append(
+    if kind is ScenarioKind.BS_INTERF:
+        p1, p2 = config.pulses[0], config.pulses[1]
+        errors.extend(ValidationIssue("pulses", m) for m in _bs_contract_issues(p1, p2, t, index))
+    elif index in (StokesIndex.S0, StokesIndex.S1):
+        warns.append(
             ValidationIssue(
-                "pulses",
-                "S2/S3 optimization needs equal SPM phases (phi1 == phi2 within "
-                f"{BALANCE_TOL:g}); got {phi1:g} and {phi2:g}",
-            )
-        )
-    lock = p1.phi_lin - p2.phi_lin
-    if abs(lock - HALF_PI) > BALANCE_TOL:
-        errors.append(
-            ValidationIssue(
-                "pulses",
-                "S2/S3 optimization needs quadrature-locked inputs "
-                f"(phi_lin1 - phi_lin2 == pi/2 within {BALANCE_TOL:g}); got {lock:g}",
+                "scenario.stokes_index",
+                f"{index.value} is conserved in {kind.value}; the spectrum is flat "
+                "and the phase optimum is degenerate",
             )
         )
 
 
-def validate(config: ScenarioConfig) -> ScenarioConfig:
-    """Raise ConfigValidationError on any fatal issue; warn on the rest."""
+def _enforce(config: ScenarioConfig) -> list[ValidationIssue]:
+    """:func:`validate`, returning the warnings it issued."""
     errors, warns = collect_issues(config)
     if errors:
         raise ConfigValidationError(errors)
     for issue in warns:
-        warnings.warn(f"{issue.field}: {issue.message}", ValidationWarning, stacklevel=2)
+        warnings.warn(f"{issue.field}: {issue.message}", ValidationWarning, stacklevel=3)
+    return warns
+
+
+def validate(config: ScenarioConfig) -> ScenarioConfig:
+    """Raise ConfigValidationError on any fatal issue; warn on the rest."""
+    _enforce(config)
     return config
-
-
-def _build_kernel(config: ScenarioConfig, pulses, t: float) -> CorrelationKernel:
-    index = config.stokes_index
-    if config.kind is ScenarioKind.COH_SQ:
-        return kernel_coh_sq(pulses[0], pulses[1], t, index)
-    if config.kind is ScenarioKind.TWO_SQ:
-        return kernel_two_sq(pulses[0], pulses[1], t, index)
-    if config.kind is ScenarioKind.XPM:
-        return kernel_xpm(pulses[0], pulses[1], t, index)
-    if index in (StokesIndex.S0, StokesIndex.S1):
-        return kernel_bs_s01(pulses[0], pulses[1], config.beamsplitter, t, index)
-    return kernel_bs_s2(pulses[0], pulses[1], pulses[2], config.beamsplitter, t, index)
-
-
-def _averages(config: ScenarioConfig, pulses, t: float) -> StokesSummary:
-    if config.kind is ScenarioKind.COH_SQ:
-        return averages_coh_sq(pulses[0], pulses[1], t)
-    if config.kind is ScenarioKind.TWO_SQ:
-        return averages_two_sq(pulses[0], pulses[1], t)
-    if config.kind is ScenarioKind.XPM:
-        return averages_xpm(pulses[0], pulses[1], t)
-    return averages_bs(pulses[0], pulses[1], pulses[2], config.beamsplitter, t)
-
-
-def _apply_offset(config: ScenarioConfig, pulses, delta_phi: float):
-    if config.kind is not ScenarioKind.BS_INTERF:
-        return (pulses[0], offset_partner_phase(pulses[0], pulses[1], delta_phi))
-    if config.stokes_index in (StokesIndex.S0, StokesIndex.S1):
-        return (offset_bs_input_phase(pulses[0], pulses[1], delta_phi), pulses[1], pulses[2])
-    return (pulses[0], pulses[1], offset_bs_probe_phase(pulses[1], pulses[2], delta_phi))
 
 
 def _shift_optimum(opt: PhaseOptimum, shift: float) -> PhaseOptimum:
@@ -405,28 +311,97 @@ def _flat_coefficients(delta_phi):
     return 0.0, 0.0
 
 
-def _optimum(config: ScenarioConfig, t: float) -> PhaseOptimum:
-    omega0 = config.omega0
-    index = config.stokes_index
+def _photon_number(index: StokesIndex) -> bool:
+    return index in (StokesIndex.S0, StokesIndex.S1)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How :func:`run` evaluates one scenario kind."""
+
+    pulse_count: int
+    coherent: tuple[tuple[int, str], ...]  # (pulse index, role) of pulses with gamma == 0
+    kernel: Callable  # (config, pulses, t) -> CorrelationKernel
+    averages: Callable  # (config, pulses, t) -> StokesSummary
+    apply_offset: Callable  # (config, pulses, delta_phi) -> offset pulses
+    optimum: Callable  # (config, t) -> PhaseOptimum at config.omega0
+    reference: Callable  # (config, t) -> shot-noise intensity of S* by default
+
+
+def _single_port(kind: ScenarioKind, coherent=()) -> _Kind:
+    """Entry of a single-port kind.
+
+    Its builders are the public ``spectra.kernel_<kind>``,
+    ``stokes.averages_<kind>`` and ``optimize.optimal_phase_<kind>``, looked
+    up when called, so tools that rebind module attributes (profilers,
+    mocks) see every call.  S0 and S1 are conserved (degenerate optimum);
+    the S3 optimum is the S2 one advanced by pi/2.
+    """
+    name = kind.value
+
+    def optimum(config, t):
+        if _photon_number(config.stokes_index):
+            return _degenerate(_flat_coefficients, config.omega0)
+        p = config.pulses
+        base = getattr(optimize, f"optimal_phase_{name}")(p[0], p[1], t, config.omega0)
+        return _shift_optimum(base, HALF_PI) if config.stokes_index is StokesIndex.S3 else base
+
+    return _Kind(
+        pulse_count=2,
+        coherent=coherent,
+        kernel=lambda config, p, t: getattr(spectra, f"kernel_{name}")(
+            p[0], p[1], t, config.stokes_index
+        ),
+        averages=lambda config, p, t: getattr(stokes, f"averages_{name}")(p[0], p[1], t),
+        apply_offset=lambda config, p, delta_phi: (
+            p[0], offset_partner_phase(p[0], p[1], delta_phi)
+        ),
+        optimum=optimum,
+        reference=lambda config, t: config.pulses[0].mean_photons(t),
+    )
+
+
+def _bs_kernel(config, p, t):
+    if _photon_number(config.stokes_index):
+        return kernel_bs_s01(p[0], p[1], config.beamsplitter, t, config.stokes_index)
+    return kernel_bs_s2(p[0], p[1], p[2], config.beamsplitter, t, config.stokes_index)
+
+
+def _bs_offset(config, p, delta_phi):
+    if _photon_number(config.stokes_index):
+        return (offset_bs_input_phase(p[0], p[1], delta_phi), p[1], p[2])
+    return (p[0], p[1], offset_bs_probe_phase(p[1], p[2], delta_phi))
+
+
+def _bs_optimum(config, t):
+    p, bs, index = config.pulses, config.beamsplitter, config.stokes_index
+    if _photon_number(index):
+        return optimal_phase_bs_s01(p[0], p[1], bs, t, config.omega0, which=index)
+    base = optimal_phase_bs_s2(p[0], p[1], p[2], bs, t, config.omega0)
+    return _shift_optimum(base, -HALF_PI) if index is StokesIndex.S3 else base
+
+
+def _bs_reference(config, t):
     p = config.pulses
-    if config.kind is not ScenarioKind.BS_INTERF:
-        if index in (StokesIndex.S0, StokesIndex.S1):
-            return _degenerate(_flat_coefficients, omega0)
-        picker = {
-            ScenarioKind.COH_SQ: optimal_phase_coh_sq,
-            ScenarioKind.TWO_SQ: optimal_phase_two_sq,
-            ScenarioKind.XPM: optimal_phase_xpm,
-        }[config.kind]
-        base = picker(p[0], p[1], t, omega0)
-        if index is StokesIndex.S3:
-            base = _shift_optimum(base, HALF_PI)
-        return base
-    if index in (StokesIndex.S0, StokesIndex.S1):
-        return optimal_phase_bs_s01(p[0], p[1], config.beamsplitter, t, omega0, which=index)
-    base = optimal_phase_bs_s2(p[0], p[1], p[2], config.beamsplitter, t, omega0)
-    if index is StokesIndex.S3:
-        base = _shift_optimum(base, -HALF_PI)
-    return base
+    if _photon_number(config.stokes_index):
+        return p[0].mean_photons(t) + p[1].mean_photons(t)
+    return p[2].mean_photons(t)
+
+
+_KINDS = {
+    ScenarioKind.COH_SQ: _single_port(ScenarioKind.COH_SQ, coherent=((0, "pulse 1"),)),
+    ScenarioKind.TWO_SQ: _single_port(ScenarioKind.TWO_SQ),
+    ScenarioKind.XPM: _single_port(ScenarioKind.XPM),
+    ScenarioKind.BS_INTERF: _Kind(
+        pulse_count=3,
+        coherent=((2, "probe pulse"),),
+        kernel=_bs_kernel,
+        averages=lambda config, p, t: averages_bs(p[0], p[1], p[2], config.beamsplitter, t),
+        apply_offset=_bs_offset,
+        optimum=_bs_optimum,
+        reference=_bs_reference,
+    ),
+}
 
 
 def run(config: ScenarioConfig) -> ScenarioResult:
@@ -438,22 +413,23 @@ def run(config: ScenarioConfig) -> ScenarioResult:
     linear phases are used as given.  Runs are deterministic: identical
     configs produce bit-identical results.
     """
-    validate(config)
+    warns = _enforce(config)
+    kind = _KINDS[config.kind]
     t = config.analysis_time
     pulses = config.pulses
     optimum = None
     if config.omega0 is not None:
-        optimum = _optimum(config, t)
+        optimum = kind.optimum(config, t)
         chosen = (
             optimum.delta_phi_opt
             if math.isfinite(optimum.delta_phi_opt)
             else optimum.delta_phi_numeric
         )
-        pulses = _apply_offset(config, pulses, chosen)
-    kern = _build_kernel(config, pulses, t)
+        pulses = kind.apply_offset(config, pulses, chosen)
+    kern = kind.kernel(config, pulses, t)
     reference = (
-        config.normalization if config.normalization is not None else _default_reference(config)
+        config.normalization if config.normalization is not None else kind.reference(config, t)
     )
     series = spectrum(kern, config.omega_grid.to_array(), reference)
-    summary = _averages(config, pulses, t)
-    return ScenarioResult(config, summary, series, optimum)
+    summary = kind.averages(config, pulses, t)
+    return ScenarioResult(config, summary, series, optimum, tuple(warns))

@@ -17,14 +17,15 @@ S below 1 signal squeezing of the corresponding Stokes component.  The
 normalized version S* = (S - 1) / reference_intensity rescales the
 squeezing/excess relative to a chosen shot-noise intensity.
 
-Builders are provided for the four overlap scenarios.  Each evaluates
-the coefficient core of its kernel family (single-port, beam-splitter
-S0/S1, beam-splitter S2); the cores also accept ndarrays of interference
-angles, which is how the phase scan in :mod:`kerrstokes.optimize`
-evaluates many offsets at once.  The S3 kernels
+The scenario kinds share three kernel families, each with one
+coefficient core: single-port, beam-splitter S0/S1 and beam-splitter S2.
+The single-port kinds form the reduction chain xpm -> two_sq -> coh_sq, so
+``kernel_xpm``, ``kernel_two_sq`` and ``kernel_coh_sq`` wrap one body.  The
+cores also accept ndarrays of interference angles, which is how the phase
+scan in :mod:`kerrstokes.optimize` evaluates many offsets at once.  The S3 kernels
 follow from the S2 ones by advancing every interference angle by pi/2,
 which swaps the roles of the cos/sin quadratures; S0 and S1 are conserved
-in the single-port scenarios, giving the flat kernel a_h = b_g = 0.
+in the single-port family, giving the flat kernel a_h = b_g = 0.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScenarioContractError
 from .kernel import lorentzian
 from .pulse import PulseSpec
 from .stokes import _require_coherent, _require_unit_split
@@ -107,6 +107,9 @@ def _square(x):
 # Coefficient cores, one per kernel family.  Each maps pulse scalars and
 # interference angles to (a_h, b_g); the angles may be ndarrays (the phase
 # scan evaluates all its offsets in one call) and then so are the results.
+# A Python float squared past the double range raises OverflowError where a
+# numpy scalar gives inf; each core saturates its Kerr weight to inf, which
+# the kernel builders and the phase scan reject with a ValueError.
 
 
 def single_port_coefficients(theta, n1, n2, phi1, phi2, phix1=0.0, phix2=0.0):
@@ -119,8 +122,11 @@ def single_port_coefficients(theta, n1, n2, phi1, phi2, phix1=0.0, phix2=0.0):
     vanishing terms drop out exactly, so all three kinds share these bits.
     """
     a_h = (n1 * phi2 - n2 * phi1) * np.sin(2.0 * theta)
-    b_g = (n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)) * _square(np.sin(theta))
-    return a_h, b_g
+    try:
+        weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
+    except OverflowError:
+        weight = math.inf
+    return a_h, weight * _square(np.sin(theta))
 
 
 def bs_s01_coefficients(dphi, n1, n2, phi1, phi2, ref, trans, sign):
@@ -130,96 +136,70 @@ def bs_s01_coefficients(dphi, n1, n2, phi1, phi2, ref, trans, sign):
         2.0 * math.sqrt(ref * trans) * math.sqrt(n1 * n2) * (ref * phi1 + sign * trans * phi2) * cos
     )
     spm = ref * trans * (n1 * phi2 - n2 * phi1) * np.sin(2.0 * dphi)
-    b_g = ref * trans * (n1 * phi2**2 + n2 * phi1**2) * _square(cos)
-    return -(beat + spm), b_g
+    try:
+        weight = ref * trans * (n1 * phi2**2 + n2 * phi1**2)
+    except OverflowError:
+        weight = math.inf
+    return -(beat + spm), weight * _square(cos)
 
 
 def bs_s2_coefficients(psi1, psi2, n3, phi1, phi2, ref, trans):
     """(a_h, b_g) of beam-splitter S2 at probe angles ``psi1``, ``psi2``."""
     a_h = n3 * (ref * phi1 * np.sin(2.0 * psi1) - trans * phi2 * np.sin(2.0 * psi2))
-    b_g = n3 * (
-        ref * phi1**2 * _square(np.cos(psi1)) + trans * phi2**2 * _square(np.sin(psi2))
-    )
+    try:
+        weight1, weight2 = ref * phi1**2, trans * phi2**2
+    except OverflowError:
+        weight1 = weight2 = math.inf
+    b_g = n3 * (weight1 * _square(np.cos(psi1)) + weight2 * _square(np.sin(psi2)))
     return a_h, b_g
+
+
+def _single_port_scalars(p1: PulseSpec, p2: PulseSpec, t: float, include_xpm: bool):
+    """(nbar1, nbar2, phi1, phi2, phix1, phix2); phix = 0.0 without ``include_xpm``."""
+    phix = (p1.xpm_phase(t), p2.xpm_phase(t)) if include_xpm else (0.0, 0.0)
+    return (
+        p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t), *phix
+    )
+
+
+def _single_port_kernel(
+    p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex, include_xpm: bool
+) -> CorrelationKernel:
+    """Single-port kernel at theta = Phi1(t) - Phi2(t), the total phases taken
+    with the XPM shift when ``include_xpm`` is set.  S0 and S1 are
+    photon-number observables, conserved here, so their kernel is flat."""
+    if index in (StokesIndex.S0, StokesIndex.S1):
+        return _flat(t, index)
+    theta = p1.total_phase(t, include_xpm) - p2.total_phase(t, include_xpm)
+    if index is StokesIndex.S3:
+        theta = theta + HALF_PI
+    return _kernel(
+        single_port_coefficients(theta, *_single_port_scalars(p1, p2, t, include_xpm)), t, index
+    )
 
 
 def kernel_coh_sq(
     p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
 ) -> CorrelationKernel:
-    """Coherent pulse 1 + Kerr pulse 2.
-
-    With theta = phi_lin1 - Phi2(t) the S2 coefficients are
-    a_h = nbar1 phi2 sin(2 theta), b_g = nbar1 phi2^2 sin(theta)^2.
-    S0 and S1 are photon-number observables, conserved here, so their
-    kernel is flat.
-    """
+    """Coherent pulse 1 + Kerr pulse 2: phi1 = 0, so theta = phi_lin1 - Phi2(t),
+    a_h = nbar1 phi2 sin(2 theta) and b_g = nbar1 phi2^2 sin(theta)^2."""
     _require_coherent(p1, "pulse 1")
-    if index in (StokesIndex.S0, StokesIndex.S1):
-        return _flat(t, index)
-    theta = p1.phi_lin - p2.total_phase(t)
-    if index is StokesIndex.S3:
-        theta = theta + HALF_PI
-    return _kernel(
-        single_port_coefficients(
-            theta, p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
-        ),
-        t,
-        index,
-    )
+    return _single_port_kernel(p1, p2, t, index, include_xpm=False)
 
 
 def kernel_two_sq(
     p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
 ) -> CorrelationKernel:
-    """Two independently Kerr-propagated pulses.
-
-    With theta = Phi1(t) - Phi2(t):
-    a_h = (nbar1 phi2 - nbar2 phi1) sin(2 theta),
-    b_g = (nbar1 phi2^2 + nbar2 phi1^2) sin(theta)^2.
-    """
-    if index in (StokesIndex.S0, StokesIndex.S1):
-        return _flat(t, index)
-    theta = p1.total_phase(t) - p2.total_phase(t)
-    if index is StokesIndex.S3:
-        theta = theta + HALF_PI
-    return _kernel(
-        single_port_coefficients(
-            theta, p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
-        ),
-        t,
-        index,
-    )
+    """Two independently Kerr-propagated pulses (phix = 0, gamma_x is ignored)."""
+    return _single_port_kernel(p1, p2, t, index, include_xpm=False)
 
 
 def kernel_xpm(
     p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
 ) -> CorrelationKernel:
-    """Co-propagating pulses with SPM and mutual XPM.
-
-    The interference angle uses the XPM-shifted total phases,
-    theta = Phix1(t) - Phix2(t); the h coefficient keeps the plain SPM
-    imbalance while the g coefficient picks up the cross couplings:
-    a_h = (nbar1 phi2 - nbar2 phi1) sin(2 theta),
-    b_g = (nbar1 [phi2^2 + phix2^2] + nbar2 [phi1^2 + phix1^2]) sin(theta)^2.
-    """
-    if index in (StokesIndex.S0, StokesIndex.S1):
-        return _flat(t, index)
-    theta = p1.total_phase(t, include_xpm=True) - p2.total_phase(t, include_xpm=True)
-    if index is StokesIndex.S3:
-        theta = theta + HALF_PI
-    return _kernel(
-        single_port_coefficients(
-            theta,
-            p1.mean_photons(t),
-            p2.mean_photons(t),
-            p1.spm_phase(t),
-            p2.spm_phase(t),
-            p1.xpm_phase(t),
-            p2.xpm_phase(t),
-        ),
-        t,
-        index,
-    )
+    """Co-propagating pulses with SPM and mutual XPM: the XPM-shifted theta;
+    the cross couplings enter b_g only."""
+    return _single_port_kernel(p1, p2, t, index, include_xpm=True)
 
 
 def kernel_bs_s01(

@@ -1,14 +1,14 @@
 """Average quantum Stokes parameters after Kerr propagation.
 
-Four overlap scenarios are covered, all for two orthogonally polarized (or
-two-port) field components measured at a common analysis time t:
+Two field components (orthogonal polarizations, or two ports) are measured
+at a common analysis time t.  The scenario kinds fall into two families:
 
-* ``averages_coh_sq``  -- a coherent pulse overlapped with a Kerr-squeezed one.
-* ``averages_two_sq``  -- two independently Kerr-squeezed pulses.
-* ``averages_xpm``     -- two co-propagating pulses coupled by cross-phase
-  modulation in addition to their self-action.
-* ``averages_bs``      -- two Kerr pulses mixed on a beam splitter, with a
-  coherent probe overlapped on one output port.
+* single-port: ``averages_xpm`` (co-propagating pulses with self- and
+  cross-phase modulation), ``averages_two_sq`` (no cross coupling) and
+  ``averages_coh_sq`` (pulse 1 coherent), each a special case of the one
+  before, so the three wrap one body.
+* beam splitter: ``averages_bs``, two Kerr pulses mixed on a beam
+  splitter, with a coherent probe overlapped on one output port.
 
 The Kerr interaction rotates the mean phasor of each pulse by its nonlinear
 phase and shrinks it by exp(-mu); the formulas below are the resulting
@@ -68,47 +68,43 @@ def _require_unit_split(bs) -> None:
         )
 
 
-def averages_coh_sq(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:
-    """Coherent pulse 1 overlapped with Kerr-propagated pulse 2.
+def _single_port_averages(
+    p1: PulseSpec, p2: PulseSpec, t: float, include_xpm: bool
+) -> StokesSummary:
+    """s2 + i s3 = 2 sqrt(nbar1 nbar2) exp(-(delta1 + delta2)) exp(i [Phi2 - Phi1]).
 
-    s2 + i s3 = 2 sqrt(nbar1 nbar2) exp(-mu2) exp(i [Phi2 - phi_lin1]).
-    """
-    _require_coherent(p1, "pulse 1")
-    n1 = p1.mean_photons(t)
-    n2 = p2.mean_photons(t)
-    angle = p2.total_phase(t) - p1.phi_lin
-    amp = 2.0 * math.sqrt(n1 * n2) * math.exp(-p2.spm_damping(t))
-    return StokesSummary.from_components(
-        n1 + n2, n1 - n2, amp * math.cos(angle), amp * math.sin(angle)
-    )
-
-
-def averages_two_sq(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:
-    """Two independently Kerr-propagated pulses; both phasors rotate and damp."""
-    n1 = p1.mean_photons(t)
-    n2 = p2.mean_photons(t)
-    angle = p2.total_phase(t) - p1.total_phase(t)
-    amp = 2.0 * math.sqrt(n1 * n2) * math.exp(-(p1.spm_damping(t) + p2.spm_damping(t)))
-    return StokesSummary.from_components(
-        n1 + n2, n1 - n2, amp * math.cos(angle), amp * math.sin(angle)
-    )
-
-
-def averages_xpm(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:
-    """Co-propagating pulses with SPM and mutual XPM.
-
-    Cross-coupling adds its own damping exponent mux per pulse and shifts
-    each total phase by -phix.
+    delta = mu; with ``include_xpm`` cross coupling adds its own damping
+    exponent mux per pulse and shifts each total phase by -phix.
     """
     n1 = p1.mean_photons(t)
     n2 = p2.mean_photons(t)
-    angle = p2.total_phase(t, include_xpm=True) - p1.total_phase(t, include_xpm=True)
-    delta1 = p1.spm_damping(t) + p1.xpm_damping(t)
-    delta2 = p2.spm_damping(t) + p2.xpm_damping(t)
+    angle = p2.total_phase(t, include_xpm) - p1.total_phase(t, include_xpm)
+    delta1 = p1.spm_damping(t)
+    delta2 = p2.spm_damping(t)
+    if include_xpm:
+        delta1 = delta1 + p1.xpm_damping(t)
+        delta2 = delta2 + p2.xpm_damping(t)
     amp = 2.0 * math.sqrt(n1 * n2) * math.exp(-(delta1 + delta2))
     return StokesSummary.from_components(
         n1 + n2, n1 - n2, amp * math.cos(angle), amp * math.sin(angle)
     )
+
+
+def averages_coh_sq(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:
+    """Coherent pulse 1 overlapped with Kerr-propagated pulse 2:
+    s2 + i s3 = 2 sqrt(nbar1 nbar2) exp(-mu2) exp(i [Phi2 - phi_lin1])."""
+    _require_coherent(p1, "pulse 1")
+    return _single_port_averages(p1, p2, t, include_xpm=False)
+
+
+def averages_two_sq(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:
+    """Two independently Kerr-propagated pulses; gamma_x is ignored."""
+    return _single_port_averages(p1, p2, t, include_xpm=False)
+
+
+def averages_xpm(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:
+    """Co-propagating pulses with SPM and mutual XPM."""
+    return _single_port_averages(p1, p2, t, include_xpm=True)
 
 
 def averages_bs(p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float) -> StokesSummary:

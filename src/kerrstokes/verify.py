@@ -146,6 +146,11 @@ def _check_wk_random(col: _Collector, rng):
     )
 
 
+def _summary_gap(a, b) -> float:
+    """Largest |difference| between the four Stokes averages of two summaries."""
+    return max(abs(a.s0 - b.s0), abs(a.s1 - b.s1), abs(a.s2 - b.s2), abs(a.s3 - b.s3))
+
+
 def _check_mc_phasor(col: _Collector):
     worst = 0.0
     stderr_worst = 0.0
@@ -154,13 +159,7 @@ def _check_mc_phasor(col: _Collector):
         p2 = PulseSpec(n0=n2, phi_lin=phase)
         est = mc_coherent_phasor(100_000, p1, p2, 0.0, seed=SEED)
         ref = averages_coh_sq(p1, p2, 0.0)
-        worst = max(
-            worst,
-            abs(est.summary.s0 - ref.s0),
-            abs(est.summary.s1 - ref.s1),
-            abs(est.summary.s2 - ref.s2),
-            abs(est.summary.s3 - ref.s3),
-        )
+        worst = max(worst, _summary_gap(est.summary, ref))
         stderr_worst = max(stderr_worst, max(est.stderr))
     col.add(
         "mc-phasor-matches-averages",
@@ -218,7 +217,8 @@ def _check_optimum_coh_sq(col: _Collector, rng):
     _judge_sweep(col, "optimum-coh-sq-closed-vs-scan", optima)
 
 
-def _check_optimum_two_sq(col: _Collector, rng):
+def _check_optimum_two_pulse(col: _Collector, rng, optimizer, name, cross):
+    """Sweep of two Kerr pulses, with mutual XPM couplings when ``cross`` is set."""
     optima = []
     for _ in range(SWEEP_DRAWS):
         t = float(rng.uniform(-0.5, 0.5))
@@ -227,30 +227,13 @@ def _check_optimum_two_sq(col: _Collector, rng):
                 n0=float(rng.uniform(10.0, 300.0)),
                 envelope=_random_envelope(rng),
                 gamma=float(rng.uniform(0.001, 0.01)),
+                gamma_x=float(rng.uniform(0.0005, 0.005)) if cross else 0.0,
                 phi_lin=float(rng.uniform(0.0, 2.0 * math.pi)),
             )
             for _ in range(2)
         ]
-        optima.append(optimal_phase_two_sq(pulses[0], pulses[1], t, float(rng.uniform(0.0, 3.0))))
-    _judge_sweep(col, "optimum-two-sq-closed-vs-scan", optima)
-
-
-def _check_optimum_xpm(col: _Collector, rng):
-    optima = []
-    for _ in range(SWEEP_DRAWS):
-        t = float(rng.uniform(-0.5, 0.5))
-        pulses = [
-            PulseSpec(
-                n0=float(rng.uniform(10.0, 300.0)),
-                envelope=_random_envelope(rng),
-                gamma=float(rng.uniform(0.001, 0.01)),
-                gamma_x=float(rng.uniform(0.0005, 0.005)),
-                phi_lin=float(rng.uniform(0.0, 2.0 * math.pi)),
-            )
-            for _ in range(2)
-        ]
-        optima.append(optimal_phase_xpm(pulses[0], pulses[1], t, float(rng.uniform(0.0, 3.0))))
-    _judge_sweep(col, "optimum-xpm-closed-vs-scan", optima)
+        optima.append(optimizer(pulses[0], pulses[1], t, float(rng.uniform(0.0, 3.0))))
+    _judge_sweep(col, name, optima)
 
 
 def _draw_bs_s01(rng, which):
@@ -520,13 +503,7 @@ def _check_coherent_baseline(col: _Collector):
             if config.kind is ScenarioKind.COH_SQ:
                 est = mc_coherent_phasor(10_000, config.pulses[0], config.pulses[1], 0.0, seed=SEED)
                 ref = run(config).summary
-                worst_mc = max(
-                    worst_mc,
-                    abs(est.summary.s0 - ref.s0),
-                    abs(est.summary.s1 - ref.s1),
-                    abs(est.summary.s2 - ref.s2),
-                    abs(est.summary.s3 - ref.s3),
-                )
+                worst_mc = max(worst_mc, _summary_gap(est.summary, ref))
     col.add(
         "coherent-baseline",
         ok and worst_mc < EXACT_TOL,
@@ -641,8 +618,10 @@ def run_checks(tau_r_mismatch: float = 1.0) -> VerifyReport:
     _check_wk_random(col, rng)
     _check_mc_phasor(col)
     _check_optimum_coh_sq(col, rng)
-    _check_optimum_two_sq(col, rng)
-    _check_optimum_xpm(col, rng)
+    _check_optimum_two_pulse(
+        col, rng, optimal_phase_two_sq, "optimum-two-sq-closed-vs-scan", cross=False
+    )
+    _check_optimum_two_pulse(col, rng, optimal_phase_xpm, "optimum-xpm-closed-vs-scan", cross=True)
     _check_optimum_bs_s01(col, rng, StokesIndex.S0)
     _check_optimum_bs_s01(col, rng, StokesIndex.S1)
     _check_optimum_bs_s2(col, rng)

@@ -249,3 +249,25 @@ class TestRun:
         centered = run(config(pulses=(COH, shaped)))
         offset = run(config(pulses=(COH, shaped), analysis_time=1.0))
         assert offset.summary.s0 < centered.summary.s0
+
+    def test_result_carries_the_collected_warnings(self):
+        cfg = config(kind=ScenarioKind.XPM, pulses=(KERR, KERR))  # gamma_x = 0 warns
+        with pytest.warns(ValidationWarning):
+            result = run(cfg)
+        assert result.warnings == tuple(collect_issues(cfg)[1])
+        assert [w.field for w in result.warnings] == ["scenario.kind"]
+        assert run(config()).warnings == ()
+
+    @pytest.mark.parametrize("omega0", [0.0, None])
+    @pytest.mark.parametrize(
+        "envelope",
+        [Envelope(), Envelope(EnvelopeShape.GAUSSIAN, tau_p=1.0)],
+        ids=["constant", "gaussian"],
+    )
+    def test_kerr_phase_overflow_raises_value_error(self, envelope, omega0):
+        # phi2 = 2 gamma n0 = 1e298 squares past the double range
+        huge = PulseSpec(n0=1e300, envelope=envelope, gamma=0.005)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy reports the overflow it saturates
+            with pytest.raises(ValueError, match="double precision|finite"):
+                run(config(pulses=(COH, huge), omega0=omega0))
