@@ -5,10 +5,11 @@ the analytic code paths they validate:
 
 * :func:`wk_numeric` computes the fluctuation spectrum directly as the
   Fourier integral of the correlation kernel (composite Simpson rule on a
-  symmetric truncated grid), bypassing the Lorentzian closed forms.
-* :func:`mc_coherent_phasor` estimates average Stokes parameters of two
-  overlapped coherent pulses by sampling field phasors, bypassing the
-  trigonometric mean-value formulas.
+  symmetric truncated grid, implemented in this module in a few lines of
+  numpy), bypassing the Lorentzian closed forms.
+* :func:`mc_coherent_phasor` forms average Stokes parameters of two
+  overlapped coherent pulses from per-sample phasor arithmetic, bypassing
+  the trigonometric mean-value formulas.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import ScenarioContractError
 from .kernel import RelaxationKernel
@@ -30,7 +30,8 @@ __all__ = ["QuadratureSpec", "wk_numeric", "PhasorEstimate", "mc_coherent_phasor
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Simpson-rule settings for the spectrum integral.
+    """Settings of the composite Simpson rule (:func:`_simpson`) for the
+    spectrum integral.
 
     The integrand is truncated at |tau| = truncation * tau_r; with the
     exponential kernels the tail beyond 20 relaxation times is below
@@ -53,6 +54,17 @@ class QuadratureSpec:
             raise ValueError(f"points must be odd for Simpson's rule, got {self.points}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+
+
+def _simpson(y: np.ndarray, dx: float):
+    """Composite Simpson rule (weights 1, 4, 2, ..., 4, 1) over an odd number
+    of samples spaced ``dx``.  The slicing and the order of operations are
+    those of ``scipy.integrate.simpson`` for an odd count, so both give the
+    same bits."""
+    n = y.shape[0]
+    total = np.sum(y[0 : n - 2 : 2] + 4.0 * y[1 : n - 1 : 2] + y[2:n:2])
+    total *= dx / 3.0
+    return total
 
 
 def wk_numeric(
@@ -81,7 +93,7 @@ def wk_numeric(
     integrand = (kern.a_h * relax.h(tau) + kern.b_g * relax.g(tau)) * np.exp(
         1j * angular * tau
     )
-    integral = complex(simpson(integrand, dx=step))
+    integral = complex(_simpson(integrand, step))
     if abs(integral.imag) > 1e-12:
         raise ArithmeticError(
             f"odd-part residue {integral.imag:g} in an even integrand; "
@@ -111,12 +123,14 @@ def mc_coherent_phasor(
 
     In the normally ordered (measured-noise) convention a coherent state
     contributes a single deterministic phasor alpha = sqrt(nbar) e^{i
-    phi_lin}: its phasor distribution is a point mass, so every draw is
-    identical and the estimator is exact with zero standard error.  The
-    value of the check is the independent route: Stokes averages are formed
-    from complex phasor arithmetic per sample instead of the closed
-    trigonometric expressions.  Pulses with Kerr coupling are rejected,
-    because their phasor distribution is no longer a point mass.
+    phi_lin}: its phasor distribution is a point mass, so the ``n_samples``
+    draws are copies of alpha and the estimator is exact with zero standard
+    error.  The value of the check is the independent route: Stokes averages
+    are formed from complex phasor arithmetic per sample instead of the
+    closed trigonometric expressions.  No random numbers are drawn; ``seed``
+    is kept in the estimate for callers that record it.  Pulses with Kerr
+    coupling are rejected, because their phasor distribution is no longer a
+    point mass.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -126,13 +140,10 @@ def mc_coherent_phasor(
                 f"mc_coherent_phasor needs coherent pulses; {role} has "
                 f"gamma = {pulse.gamma}, gamma_x = {pulse.gamma_x}"
             )
-    rng = np.random.default_rng(seed)
     alpha1 = math.sqrt(p1.mean_photons(t)) * np.exp(1j * p1.phi_lin)
     alpha2 = math.sqrt(p2.mean_photons(t)) * np.exp(1j * p2.phi_lin)
-    # Point-mass sampling: the rng stream is consumed for shape compatibility
-    # with future non-deterministic phasor laws, but adds zero spread here.
-    draws1 = alpha1 + 0.0 * rng.standard_normal(n_samples)
-    draws2 = alpha2 + 0.0 * rng.standard_normal(n_samples)
+    draws1 = np.full(n_samples, alpha1)
+    draws2 = np.full(n_samples, alpha2)
 
     i1 = np.abs(draws1) ** 2
     i2 = np.abs(draws2) ** 2

@@ -44,6 +44,7 @@ from .stokes import BS_UNITARITY_TOL, StokesSummary, averages_bs
 __all__ = [
     "ScenarioKind",
     "BeamSplitter",
+    "MAX_GRID_POINTS",
     "OmegaGrid",
     "ScenarioConfig",
     "ScenarioResult",
@@ -87,9 +88,16 @@ class BeamSplitter:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+# Largest accepted OmegaGrid.count: 10^7 points are 80 MB per float array,
+# far above any figure or benchmark grid, and it keeps a mistyped --grid from
+# requesting an allocation that cannot succeed.
+MAX_GRID_POINTS = 10_000_000
+
+
 @dataclass(frozen=True)
 class OmegaGrid:
-    """Uniform grid of reduced frequencies Omega = omega tau_r."""
+    """Uniform grid of reduced frequencies Omega = omega tau_r, with
+    2 <= count <= MAX_GRID_POINTS."""
 
     start: float = 0.0
     stop: float = 5.0
@@ -104,8 +112,10 @@ class OmegaGrid:
             raise ValueError(f"start must be >= 0, got {self.start}")
         if self.stop <= self.start:
             raise ValueError(f"stop must exceed start, got [{self.start}, {self.stop}]")
-        if not isinstance(self.count, int) or self.count < 2:
-            raise ValueError(f"count must be an integer >= 2, got {self.count!r}")
+        if not isinstance(self.count, int) or not 2 <= self.count <= MAX_GRID_POINTS:
+            raise ValueError(
+                f"count must be an integer in [2, {MAX_GRID_POINTS}], got {self.count!r}"
+            )
 
     def to_array(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)

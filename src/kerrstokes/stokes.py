@@ -48,7 +48,20 @@ class StokesSummary:
 
     @classmethod
     def from_components(cls, s0: float, s1: float, s2: float, s3: float) -> "StokesSummary":
+        """Fill in the radius and the degree of polarization.
+
+        Raises ``ValueError`` when an average or the radius is not finite
+        (photon numbers so large that the products overflow); the degree of
+        polarization alone may be nan, for vacuum input.
+        """
         radius = math.sqrt(s1 * s1 + s2 * s2 + s3 * s3)
+        components = {"s0": s0, "s1": s1, "s2": s2, "s3": s3, "poincare_radius": radius}
+        for name, value in components.items():
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"Stokes summary field {name} is not finite ({value}); "
+                    "the photon numbers are too large to represent"
+                )
         dop = radius / s0 if s0 > 0.0 else math.nan
         return cls(s0, s1, s2, s3, radius, dop)
 

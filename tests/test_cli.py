@@ -19,6 +19,7 @@ from kerrstokes.cli import (
     EXIT_VERIFY,
     main,
 )
+from kerrstokes.scenario import MAX_GRID_POINTS
 
 BASIC = """\
 [scenario]
@@ -254,6 +255,42 @@ def test_bad_grid_override_names_its_field(tmp_path, basic_ini, capsys):
     )
     assert code == EXIT_VALIDATION
     assert [i["field"] for i in stderr_error(err)["issues"]] == ["grid"]
+
+
+def test_grid_count_above_cap_is_rejected_before_any_run(
+    tmp_path, basic_ini, capsys, monkeypatch
+):
+    def fail(config):
+        raise AssertionError("an over-cap grid reached run()")
+
+    monkeypatch.setattr("kerrstokes.cli.run", fail)
+    grid = f"0:1:{MAX_GRID_POINTS + 1}"
+    code, out, err = run_cli(
+        capsys, "run", "--config", basic_ini, "--out", tmp_path / "x.csv", "--grid", grid
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    issues = stderr_error(err)["issues"]
+    assert [i["field"] for i in issues] == ["grid"]
+    assert str(MAX_GRID_POINTS) in issues[0]["message"]
+
+
+def test_overflowing_stokes_averages_map_to_validation_exit(tmp_path, capsys):
+    # two coherent pulses at n0 = 1e308: s0 = n1 + n2 overflows, which must
+    # not reach the stdout JSON as Infinity or NaN
+    path = tmp_path / "huge.ini"
+    path.write_text(
+        "[scenario]\nkind = two_sq\n\n[pulse1]\nn0 = 1e308\ngamma = 0\n\n"
+        "[pulse2]\nn0 = 1e308\ngamma = 0\n"
+    )
+    code, out, err = run_cli(capsys, "run", "--config", path, "--out", tmp_path / "x.csv")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    error = stderr_error(err)
+    assert error["code"] == "validation"
+    assert [i["field"] for i in error["issues"]] == ["scenario"]
+    assert "not finite" in error["issues"][0]["message"]
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_figure_with_strong_coupling_keeps_stderr_empty(tmp_path):

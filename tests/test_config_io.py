@@ -110,6 +110,16 @@ def test_unknown_key_rejected_with_field_path(tmp_path):
     assert "pulse1.chirp" in issue_fields(excinfo)
 
 
+def test_grid_count_above_cap_rejected(tmp_path):
+    text = (
+        "[scenario]\nkind = coh_sq\n[grid]\ncount = 10000001\n"
+        "[pulse1]\nn0 = 1\n[pulse2]\nn0 = 50\n"
+    )
+    with pytest.raises(ConfigValidationError) as excinfo:
+        load_config(write(tmp_path, text))
+    assert issue_fields(excinfo) == ["grid"]
+
+
 def test_unknown_section_rejected(tmp_path):
     text = "[scenario]\nkind = coh_sq\n[laser]\npower = 9\n[pulse1]\nn0 = 1\n[pulse2]\nn0 = 50\n"
     with pytest.raises(ConfigValidationError) as excinfo:

@@ -1,13 +1,18 @@
 """Independent numerical routes: quadrature spectra and phasor sampling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kerrstokes
 from kerrstokes.errors import ScenarioContractError
 from kerrstokes.kernel import RelaxationKernel, fourier_g_closed, fourier_h_closed
-from kerrstokes.oracle import QuadratureSpec, mc_coherent_phasor, wk_numeric
+from kerrstokes.oracle import QuadratureSpec, _simpson, mc_coherent_phasor, wk_numeric
 from kerrstokes.pulse import PulseSpec
 from kerrstokes.spectra import CorrelationKernel, StokesIndex
 from kerrstokes.stokes import averages_coh_sq
@@ -65,6 +70,41 @@ def test_quadrature_converges_with_more_points():
     coarse = wk_numeric(kern, RELAX, 4.0, QuadratureSpec(points=4001))
     fine = wk_numeric(kern, RELAX, 4.0, QuadratureSpec(points=40001))
     assert abs(fine - closed) < abs(coarse - closed) or abs(fine - closed) < 1e-10
+
+
+class TestSimpsonRule:
+    def test_integrates_a_cubic_exactly(self):
+        # Simpson's rule is exact for cubics; on [0, 2] x^3 - 2x^2 + 3x + 1
+        # integrates to 4 - 16/3 + 6 + 2 = 20/3
+        x = np.linspace(0.0, 2.0, 4001)
+        total = _simpson(x**3 - 2.0 * x**2 + 3.0 * x + 1.0, x[1] - x[0])
+        assert abs(total - 20.0 / 3.0) <= math.ulp(20.0 / 3.0)
+
+    def test_matches_scipy_bit_for_bit(self):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            n = 2 * int(rng.integers(2000, 10000)) + 1
+            dx = float(rng.uniform(1e-3, 1e-1))
+            tau = (np.arange(n) - n // 2) * dx
+            y = rng.normal() * np.exp(-np.abs(tau) * rng.uniform(0.1, 2.0)) * np.exp(
+                1j * rng.uniform(0.0, 10.0) * tau
+            ) + rng.normal() * np.exp(-(tau**2) / rng.uniform(1.0, 20.0))
+            expected = scipy_integrate.simpson(y, dx=dx)
+            got = _simpson(y, dx)
+            assert (got.real, got.imag) == (expected.real, expected.imag)
+
+
+def test_package_import_leaves_scipy_out():
+    src = Path(kerrstokes.__file__).resolve().parent.parent
+    code = "import sys, kerrstokes, kerrstokes.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestCoherentPhasorSampling:

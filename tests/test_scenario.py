@@ -10,6 +10,7 @@ from kerrstokes.errors import ConfigValidationError
 from kerrstokes.kernel import RelaxationKernel
 from kerrstokes.pulse import Envelope, EnvelopeShape, PulseSpec
 from kerrstokes.scenario import (
+    MAX_GRID_POINTS,
     BeamSplitter,
     OmegaGrid,
     ScenarioConfig,
@@ -69,6 +70,12 @@ class TestBuildingBlocks:
             OmegaGrid(start=2.0, stop=1.0)
         with pytest.raises(ValueError):
             OmegaGrid(count=1)
+
+    def test_omega_grid_count_is_capped(self):
+        # checked on construction: no array of that size is ever built
+        assert OmegaGrid(count=MAX_GRID_POINTS).count == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="count must be an integer in"):
+            OmegaGrid(count=MAX_GRID_POINTS + 1)
 
     def test_omega_grid_to_array(self):
         grid = OmegaGrid(0.0, 2.0, 5)
@@ -271,3 +278,11 @@ class TestRun:
             warnings.simplefilter("ignore")  # numpy reports the overflow it saturates
             with pytest.raises(ValueError, match="double precision|finite"):
                 run(config(pulses=(COH, huge), omega0=omega0))
+
+
+def test_overflowing_stokes_averages_raise_value_error():
+    # coh_sq with pulse 2 at n0 = 1e308: s0 to s3 stay finite, only the
+    # Poincare radius sqrt(s1^2 + s2^2 + s3^2) overflows
+    huge = PulseSpec(n0=1e308)
+    with pytest.raises(ValueError, match="poincare_radius is not finite"):
+        run(config(pulses=(COH, huge)))

@@ -117,3 +117,16 @@ def test_summary_from_components_fills_derived_fields():
     s = StokesSummary.from_components(3.0, 1.0, 2.0, 2.0)
     assert s.poincare_radius == pytest.approx(3.0)
     assert s.degree_of_polarization == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "components, field",
+    [
+        ((math.inf, 0.0, math.inf, math.nan), "s0"),
+        ((1.0, math.nan, 0.0, 0.0), "s1"),
+        ((1.0, -1e308, 1e308, 0.0), "poincare_radius"),
+    ],
+)
+def test_summary_rejects_non_finite_averages(components, field):
+    with pytest.raises(ValueError, match=f"{field} is not finite"):
+        StokesSummary.from_components(*components)
