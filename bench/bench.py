@@ -5,7 +5,7 @@
 
 Each ``--tree LABEL=DIR`` names a checkout whose ``src/`` is put on
 ``PYTHONPATH``; the labels become the columns of the report.  Two kinds of
-rows are measured, each as the minimum of ``--repeats`` runs:
+rows are measured, each as the minimum of ``REPEATS`` runs:
 
 * end to end, one fresh interpreter per run: ``python -c 'import numpy'``
   (the floor every run pays), ``import kerrstokes``, ``kerrstokes run`` on
@@ -71,7 +71,7 @@ def _cold_run(argv: list[str], tree: Path, work: Path) -> tuple[float, float]:
     return took, usage.ru_maxrss / 1024.0
 
 
-def measure_layers(tree: Path, repeats: int) -> dict[str, float]:
+def measure_layers(tree: Path) -> dict[str, float]:
     """Per-call seconds of each layer on the configs of ``tree``, in this
     interpreter (kerrstokes imported from PYTHONPATH)."""
     import warnings
@@ -87,7 +87,7 @@ def measure_layers(tree: Path, repeats: int) -> dict[str, float]:
     def best(fn) -> float:
         timer = timeit.Timer(fn)
         number = max(timer.autorange()[0], 1)
-        return min(timer.repeat(repeat=repeats, number=number)) / number
+        return min(timer.repeat(repeat=REPEATS, number=number)) / number
 
     results = {}
     for name in CONFIGS:
@@ -116,14 +116,9 @@ def main(argv=None) -> int:
         "--tree", action="append", metavar="LABEL=DIR",
         help="a checkout to measure (repeatable; default: this tree, labelled 'this')",
     )
-    parser.add_argument(
-        "--repeats", type=int, default=REPEATS, help="runs per row; the minimum is kept"
-    )
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument("--layers-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
 
     trees = {}
     for spec in args.tree or [f"this={ROOT}"]:
@@ -134,13 +129,13 @@ def main(argv=None) -> int:
 
     if args.layers_only:  # child mode: one tree's in-process timings as JSON
         (tree,) = trees.values()
-        print(json.dumps(measure_layers(tree, args.repeats)))
+        print(json.dumps(measure_layers(tree)))
         return 0
 
     wall: dict[str, dict[str, float]] = {}
     rss: dict[str, dict[str, float]] = {}
     with tempfile.TemporaryDirectory() as scratch:
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             for label, tree in trees.items():
                 work = Path(scratch) / label
                 work.mkdir(exist_ok=True)
@@ -155,7 +150,7 @@ def main(argv=None) -> int:
     for label, tree in trees.items():
         env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1"}
         child = [sys.executable, str(Path(__file__).resolve()), "--layers-only"]
-        child += ["--tree", f"{label}={tree}", "--repeats", str(args.repeats)]
+        child += ["--tree", f"{label}={tree}"]
         proc = subprocess.run(child, env=env, capture_output=True, text=True, check=True)
         for row, seconds in json.loads(proc.stdout).items():
             layers.setdefault(row, {})[label] = seconds
@@ -163,7 +158,7 @@ def main(argv=None) -> int:
     import numpy
 
     report = {
-        "statistic": f"minimum of {args.repeats} runs",
+        "statistic": f"minimum of {REPEATS} runs",
         "columns": list(trees),
         "host": {
             "machine": platform.machine(),

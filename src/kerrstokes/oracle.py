@@ -106,8 +106,9 @@ def wk_numeric(
 class PhasorEstimate:
     """Monte-Carlo estimate of average Stokes parameters.
 
-    ``stderr`` holds the standard errors of (s0, s1, s2, s3); the seed is
-    recorded so any run can be reproduced exactly.
+    ``stderr`` holds the standard errors of (s0, s1, s2, s3).  ``seed``
+    only echoes the argument of ``mc_coherent_phasor``, which draws no
+    random numbers.
     """
 
     summary: StokesSummary

@@ -7,7 +7,7 @@ import pytest
 
 from kerrstokes.config_io import dump_reference_path, load_config
 from kerrstokes.errors import ConfigParseError, ConfigValidationError
-from kerrstokes.scenario import ScenarioKind
+from kerrstokes.scenario import MAX_GRID_POINTS, ScenarioKind
 from kerrstokes.spectra import StokesIndex
 
 GOOD = """\
@@ -112,7 +112,7 @@ def test_unknown_key_rejected_with_field_path(tmp_path):
 
 def test_grid_count_above_cap_rejected(tmp_path):
     text = (
-        "[scenario]\nkind = coh_sq\n[grid]\ncount = 10000001\n"
+        f"[scenario]\nkind = coh_sq\n[grid]\ncount = {MAX_GRID_POINTS + 1}\n"
         "[pulse1]\nn0 = 1\n[pulse2]\nn0 = 50\n"
     )
     with pytest.raises(ConfigValidationError) as excinfo:
