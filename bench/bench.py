@@ -11,11 +11,11 @@ rows are measured, each as the minimum of ``REPEATS`` runs:
   (the floor every run pays), ``import kerrstokes``, ``kerrstokes run`` on
   each config in ``configs/``, ``kerrstokes figure --figure-id 2`` and
   ``kerrstokes verify``; the wall time and the peak RSS of the child;
-* per layer, in one interpreter per tree: ``load_config``, ``run()``,
-  ``spectrum`` on the default 512-point grid and the CSV write, each timed
-  with ``timeit`` over enough calls to last at least 0.2 s.
+* per layer, in one fresh interpreter per tree and run: ``load_config``,
+  ``run()``, ``spectrum`` on the default 512-point grid and the CSV write,
+  each timed with ``timeit`` over enough calls to last at least 0.2 s.
 
-The cold runs of all trees are interleaved repeat by repeat, so every
+Both kinds of runs are interleaved across trees, round by round, so every
 column is measured in the same window on the same host.  Only the standard
 library and numpy are used.
 """
@@ -72,8 +72,8 @@ def _cold_run(argv: list[str], tree: Path, work: Path) -> tuple[float, float]:
 
 
 def measure_layers(tree: Path) -> dict[str, float]:
-    """Per-call seconds of each layer on the configs of ``tree``, in this
-    interpreter (kerrstokes imported from PYTHONPATH)."""
+    """Per-call seconds of each layer on the configs of ``tree``, one timing
+    each, in this interpreter (kerrstokes imported from PYTHONPATH)."""
     import warnings
 
     from kerrstokes.cli import _write_spectrum_csv
@@ -87,7 +87,7 @@ def measure_layers(tree: Path) -> dict[str, float]:
     def best(fn) -> float:
         timer = timeit.Timer(fn)
         number = max(timer.autorange()[0], 1)
-        return min(timer.repeat(repeat=REPEATS, number=number)) / number
+        return timer.timeit(number) / number
 
     results = {}
     for name in CONFIGS:
@@ -104,6 +104,20 @@ def measure_layers(tree: Path) -> dict[str, float]:
         series = results["coh_sq"].spectrum
         rows["csv write 512 points"] = best(lambda: _write_spectrum_csv(out, series))
     return rows
+
+
+def _layer_run(tree: Path, label: str) -> dict[str, float]:
+    """One child interpreter's ``measure_layers`` timings for ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1"}
+    child = [sys.executable, str(Path(__file__).resolve()), "--layers-only"]
+    child += ["--tree", f"{label}={tree}"]
+    proc = subprocess.run(child, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _keep_min(table: dict[str, dict[str, float]], row: str, label: str, value: float) -> None:
+    cell = table.setdefault(row, {})
+    cell[label] = min(cell.get(label, value), value)
 
 
 def _rounded(table: dict[str, dict[str, float]], digits: int) -> dict[str, dict[str, float]]:
@@ -134,6 +148,7 @@ def main(argv=None) -> int:
 
     wall: dict[str, dict[str, float]] = {}
     rss: dict[str, dict[str, float]] = {}
+    layers: dict[str, dict[str, float]] = {}
     with tempfile.TemporaryDirectory() as scratch:
         for _ in range(REPEATS):
             for label, tree in trees.items():
@@ -141,19 +156,10 @@ def main(argv=None) -> int:
                 work.mkdir(exist_ok=True)
                 for row, command in _cold_commands(tree, work).items():
                     took, peak = _cold_run(command, tree, work)
-                    cell = wall.setdefault(row, {})
-                    cell[label] = min(cell.get(label, took), took)
-                    cell = rss.setdefault(row, {})
-                    cell[label] = min(cell.get(label, peak), peak)
-
-    layers: dict[str, dict[str, float]] = {}
-    for label, tree in trees.items():
-        env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1"}
-        child = [sys.executable, str(Path(__file__).resolve()), "--layers-only"]
-        child += ["--tree", f"{label}={tree}"]
-        proc = subprocess.run(child, env=env, capture_output=True, text=True, check=True)
-        for row, seconds in json.loads(proc.stdout).items():
-            layers.setdefault(row, {})[label] = seconds
+                    _keep_min(wall, row, label, took)
+                    _keep_min(rss, row, label, peak)
+                for row, seconds in _layer_run(tree, label).items():
+                    _keep_min(layers, row, label, seconds)
 
     import numpy
 

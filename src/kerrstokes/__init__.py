@@ -6,7 +6,7 @@ Stokes parameters after self- and cross-phase modulation, the normally
 ordered Stokes-fluctuation spectra S(Omega) with their universal
 delta + h + g correlation-kernel structure, and the linear phase offsets
 that minimize S at a chosen frequency -- each closed form paired with an
-independent numerical route (quadrature, phase scans, phasor sampling).
+independent numerical route (quadrature, phase scans, phasor arithmetic).
 """
 
 from .errors import (
@@ -26,7 +26,7 @@ from .optimize import (
     optimal_phase_xpm,
     scan_phase,
 )
-from .oracle import PhasorEstimate, QuadratureSpec, mc_coherent_phasor, wk_numeric
+from .oracle import mc_coherent_phasor, wk_numeric
 from .pulse import Envelope, EnvelopeShape, PulseSpec
 from .scenario import (
     BeamSplitter,
@@ -71,9 +71,7 @@ __all__ = [
     "EnvelopeShape",
     "OmegaGrid",
     "PhaseOptimum",
-    "PhasorEstimate",
     "PulseSpec",
-    "QuadratureSpec",
     "RelaxationKernel",
     "ScenarioConfig",
     "ScenarioContractError",

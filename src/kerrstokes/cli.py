@@ -195,7 +195,10 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_checks(tau_r_mismatch=args.inject_tau_mismatch)
+    try:
+        report = run_checks(tau_r_mismatch=args.inject_tau_mismatch)
+    except ValueError as exc:
+        return _emit_error("validation", EXIT_VALIDATION, [("inject-tau-mismatch", str(exc))])
     payload = {
         "schema_version": SCHEMA_VERSION,
         "passed": report.passed,

@@ -64,7 +64,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Minimum coarse-scan resolution over one phase period.
+# Coarse-scan offsets over one phase period.
 SCAN_RESOLUTION_MIN = 720
 # Golden-section refinement terminates on this change in S (not in phase).
 SCAN_VALUE_TOL = 1e-12
@@ -148,14 +148,14 @@ def _golden_refine(f, a: float, b: float, max_iter: int = 300):
     return d, fd
 
 
-def scan_phase(coefficients, omega0: float, resolution: int = SCAN_RESOLUTION_MIN):
+def scan_phase(coefficients, omega0: float):
     """Numerically minimize S(Omega0) over the phase offset.
 
     ``coefficients(delta_phi)`` must return the scenario's kernel
     coefficients (a_h, b_g) at that offset and must broadcast: given an
     ndarray of offsets it returns arrays of that shape (or scalars, for a
     phase-independent kernel).  The coarse pass evaluates all
-    ``resolution`` offsets of [0, 2pi) in one call and takes the first
+    SCAN_RESOLUTION_MIN offsets of [0, 2pi) in one call and takes the first
     smallest value; golden-section refinement around it then calls
     ``coefficients`` on scalars until the S value converges to
     SCAN_VALUE_TOL.
@@ -163,17 +163,13 @@ def scan_phase(coefficients, omega0: float, resolution: int = SCAN_RESOLUTION_MI
     Returns (delta_phi, s_min) with delta_phi wrapped into [0, 2pi).
     Raises ValueError when S is not finite at some scanned offset.
     """
-    if resolution < SCAN_RESOLUTION_MIN:
-        raise ValueError(
-            f"resolution must be >= {SCAN_RESOLUTION_MIN}, got {resolution}"
-        )
     _check_omega0(omega0)
 
     def f(delta_phi):
         return spectrum_from_coefficients(*coefficients(delta_phi), omega0)
 
-    step = TWO_PI / resolution
-    offsets = np.arange(resolution) * step
+    step = TWO_PI / SCAN_RESOLUTION_MIN
+    offsets = np.arange(SCAN_RESOLUTION_MIN) * step
     values = np.broadcast_to(f(offsets), offsets.shape)
     if not np.all(np.isfinite(values)):
         raise ValueError(
@@ -194,7 +190,6 @@ def _assemble(
     s_closed: float,
     coefficients,
     omega0: float,
-    resolution: int,
     extra_flags: tuple[str, ...] = (),
 ) -> PhaseOptimum:
     if not math.isfinite(s_closed):
@@ -204,7 +199,7 @@ def _assemble(
         )
     # PhaseOptimum holds Python floats, whichever scalars the closed form used
     delta_phi_closed, s_closed = float(delta_phi_closed), float(s_closed)
-    delta_phi_num, s_num = scan_phase(coefficients, omega0, resolution)
+    delta_phi_num, s_num = scan_phase(coefficients, omega0)
     flags = list(extra_flags)
     if math.isfinite(delta_phi_closed):
         s_at_closed = spectrum_from_coefficients(*coefficients(delta_phi_closed), omega0)
@@ -218,15 +213,15 @@ def _assemble(
     )
 
 
-def _degenerate(coefficients, omega0: float, resolution: int = SCAN_RESOLUTION_MIN) -> PhaseOptimum:
-    delta_phi_num, s_num = scan_phase(coefficients, omega0, resolution)
+def _degenerate(coefficients, omega0: float) -> PhaseOptimum:
+    delta_phi_num, s_num = scan_phase(coefficients, omega0)
     return PhaseOptimum(
         math.nan, omega0, 1.0, s_num, abs(s_num - 1.0), delta_phi_num, ("degenerate",)
     )
 
 
 def _optimal_single_port(
-    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, resolution: int,
+    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float,
     include_xpm: bool, coherent: bool = False,
 ) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 of the single-port family.
@@ -258,7 +253,7 @@ def _optimal_single_port(
     imbalance = n1 * phi2 - n2 * phi1
     weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
     if (n1 * phi2 if coherent else weight) == 0.0:
-        return _degenerate(coefficients, omega0, resolution)
+        return _degenerate(coefficients, omega0)
     lor0 = lorentzian(omega0)
     if coherent:  # the general form would move s_min by one ulp
         delta_phi = 0.5 * math.atan(1.0 / (lor0 * phi2)) - phi2
@@ -274,13 +269,10 @@ def _optimal_single_port(
             + 2.0 * weight * lor0**2
             - 2.0 * lor0 * math.sqrt(imbalance**2 + (lor0 * weight) ** 2)
         )
-    return _assemble(delta_phi, s_closed, coefficients, omega0, resolution)
+    return _assemble(delta_phi, s_closed, coefficients, omega0)
 
 
-def optimal_phase_coh_sq(
-    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float,
-    resolution: int = SCAN_RESOLUTION_MIN,
-) -> PhaseOptimum:
+def optimal_phase_coh_sq(p1: PulseSpec, p2: PulseSpec, t: float, omega0: float) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 for the coherent + Kerr-squeezed scenario.
 
     Closed form: delta_phi_opt = arctan(1 / (L0 phi2)) / 2 - phi2, reaching
@@ -292,24 +284,18 @@ def optimal_phase_coh_sq(
     spectrum is identically 1 (degenerate optimum).
     """
     _require_coherent(p1, "pulse 1")
-    return _optimal_single_port(p1, p2, t, omega0, resolution, include_xpm=False, coherent=True)
+    return _optimal_single_port(p1, p2, t, omega0, include_xpm=False, coherent=True)
 
 
-def optimal_phase_two_sq(
-    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float,
-    resolution: int = SCAN_RESOLUTION_MIN,
-) -> PhaseOptimum:
+def optimal_phase_two_sq(p1: PulseSpec, p2: PulseSpec, t: float, omega0: float) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 for two Kerr-squeezed pulses (phix = 0;
     any gamma_x is ignored)."""
-    return _optimal_single_port(p1, p2, t, omega0, resolution, include_xpm=False)
+    return _optimal_single_port(p1, p2, t, omega0, include_xpm=False)
 
 
-def optimal_phase_xpm(
-    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float,
-    resolution: int = SCAN_RESOLUTION_MIN,
-) -> PhaseOptimum:
+def optimal_phase_xpm(p1: PulseSpec, p2: PulseSpec, t: float, omega0: float) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 with SPM and mutual XPM."""
-    return _optimal_single_port(p1, p2, t, omega0, resolution, include_xpm=True)
+    return _optimal_single_port(p1, p2, t, omega0, include_xpm=True)
 
 
 def _bs_contract_issues(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex) -> list[str]:
@@ -347,7 +333,6 @@ def _bs_contract_issues(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesInd
 def optimal_phase_bs_s01(
     p1: PulseSpec, p2: PulseSpec, bs, t: float, omega0: float,
     which: StokesIndex = StokesIndex.S0,
-    resolution: int = SCAN_RESOLUTION_MIN,
 ) -> PhaseOptimum:
     """Optimal phi_lin1 - phi_lin2 for S0 or S1 after the beam splitter.
 
@@ -390,7 +375,7 @@ def optimal_phase_bs_s01(
 
     weight = n1 * phi2**2 + n2 * phi1**2
     if bs.r * bs.t == 0.0 or weight == 0.0:
-        return _degenerate(coefficients, omega0, resolution)
+        return _degenerate(coefficients, omega0)
 
     numerator = bs.r * n1 + sign * bs.t * n2
     lor0 = lorentzian(omega0)
@@ -401,16 +386,13 @@ def optimal_phase_bs_s01(
     )
     s_closed = 1.0 - numerator**2 / (n1 + n2)
     if abs(vertex_cos) > 1.0:
-        return _assemble(
-            math.nan, s_closed, coefficients, omega0, resolution, ("arccos-domain",)
-        )
+        return _assemble(math.nan, s_closed, coefficients, omega0, ("arccos-domain",))
     delta_phi = math.acos(vertex_cos) - phi1 + phi2
-    return _assemble(delta_phi, s_closed, coefficients, omega0, resolution)
+    return _assemble(delta_phi, s_closed, coefficients, omega0)
 
 
 def optimal_phase_bs_s2(
-    p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float, omega0: float,
-    resolution: int = SCAN_RESOLUTION_MIN,
+    p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float, omega0: float
 ) -> PhaseOptimum:
     """Optimal probe offset phi_lin2 - phi_lin3 for S2 after the beam splitter.
 
@@ -446,7 +428,7 @@ def optimal_phase_bs_s2(
 
     phi = phi1
     if n3 * phi == 0.0:
-        return _degenerate(coefficients, omega0, resolution)
+        return _degenerate(coefficients, omega0)
     lor0 = lorentzian(omega0)
     rt_diff = bs.r - bs.t
     if rt_diff == 0.0:
@@ -458,4 +440,4 @@ def optimal_phase_bs_s2(
         + 2.0 * n3 * phi**2 * lor0**2
         - 2.0 * n3 * phi * lor0 * math.sqrt(1.0 + rt_diff**2 * phi**2 * lor0**2)
     )
-    return _assemble(delta_phi, s_closed, coefficients, omega0, resolution)
+    return _assemble(delta_phi, s_closed, coefficients, omega0)

@@ -63,6 +63,9 @@ class Envelope:
                 raise ValueError(
                     f"{self.shape.value} envelope needs tau_p > 0, got {self.tau_p!r}"
                 )
+            if self.shape is EnvelopeShape.GAUSSIAN and 2.0 * self.tau_p * self.tau_p == 0.0:
+                # amplitude() divides by 2 tau_p^2, which would underflow to 0
+                raise ValueError(f"gaussian envelope needs 2 tau_p^2 > 0, got {self.tau_p!r}")
 
     def amplitude(self, t):
         """Envelope value r(t); accepts scalars or arrays."""

@@ -297,7 +297,9 @@ class SpectrumSeries:
 def spectrum(
     kern: CorrelationKernel, omega_grid, reference_intensity: float = 1.0
 ) -> SpectrumSeries:
-    """Evaluate S and S* on an ascending grid of reduced frequencies >= 0."""
+    """Evaluate S and S* on an ascending grid of reduced frequencies >= 0.
+
+    Raises ValueError when S or S* is not finite at some grid point."""
     grid = np.asarray(omega_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("omega_grid must be a non-empty 1-d array")
@@ -317,4 +319,6 @@ def spectrum(
         )
     values = spectrum_from_coefficients(kern.a_h, kern.b_g, grid)
     normalized = (values - 1.0) / reference_intensity
+    if not np.isfinite(normalized).all():
+        raise ValueError(f"S* = (S - 1) / {reference_intensity!r} is not finite on the grid")
     return SpectrumSeries(grid, values, normalized, float(reference_intensity))

@@ -2,14 +2,15 @@
 
 The checks below re-derive the package's analytic results numerically --
 Fourier pairs by Simpson quadrature, phase optima by dense scans, Stokes
-averages by phasor sampling -- and compare within fixed tolerances.  They
+averages by phasor arithmetic -- and compare within fixed tolerances.  They
 are deliberately redundant with the unit-test suite so that an installed
 package can audit itself from the command line (``kerrstokes verify``).
 
 ``run_checks`` accepts a fault-injection hook used as a negative control:
 ``tau_r_mismatch`` scales the reduced frequency handed to the quadrature
 route, emulating a mis-calibrated relaxation time between the two routes.
-Any value other than 1.0 must make the Fourier-pair checks fail.
+It must be a finite number > 0; any value other than 1.0 must make the
+Fourier-pair checks fail.
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ from .optimize import (
     optimal_phase_xpm,
     scan_phase,
 )
-from .oracle import QuadratureSpec, mc_coherent_phasor, wk_numeric
+from .oracle import QUADRATURE_TOLERANCE, mc_coherent_phasor, wk_numeric
 from .pulse import Envelope, EnvelopeShape, PulseSpec
 from .scenario import BeamSplitter, OmegaGrid, ScenarioConfig, ScenarioKind, run
 from .spectra import (
     CorrelationKernel,
     StokesIndex,
     kernel_bs_s01,
-    kernel_coh_sq,
     kernel_two_sq,
     kernel_xpm,
     spectrum,
@@ -119,12 +119,12 @@ def _check_quadrature_basics(col: _Collector):
 
     kern = CorrelationKernel(0.7, 1.3, 0.0, StokesIndex.S2)
     base = wk_numeric(kern, relax, 2.0)
-    fine = wk_numeric(kern, relax, 2.0, QuadratureSpec(points=40001))
+    fine = wk_numeric(kern, relax, 2.0, points=40001)
     drift = abs(fine - base)
     col.add(
         "quadrature-convergence",
-        drift < QuadratureSpec().tolerance / 10.0,
-        QuadratureSpec().tolerance / 10.0,
+        drift < QUADRATURE_TOLERANCE / 10.0,
+        QUADRATURE_TOLERANCE / 10.0,
         f"doubling the Simpson grid moves S by {drift:.3e}",
     )
 
@@ -153,19 +153,16 @@ def _summary_gap(a, b) -> float:
 
 def _check_mc_phasor(col: _Collector):
     worst = 0.0
-    stderr_worst = 0.0
     for n1, n2, phase in ((1.0, 1.0, 0.0), (4.0, 1.0, math.pi), (2.5, 0.7, 1.1), (1.0, 3.0, -2.2)):
         p1 = PulseSpec(n0=n1)
         p2 = PulseSpec(n0=n2, phi_lin=phase)
-        est = mc_coherent_phasor(100_000, p1, p2, 0.0, seed=SEED)
-        ref = averages_coh_sq(p1, p2, 0.0)
-        worst = max(worst, _summary_gap(est.summary, ref))
-        stderr_worst = max(stderr_worst, max(est.stderr))
+        phasor = mc_coherent_phasor(p1, p2, 0.0)
+        worst = max(worst, _summary_gap(phasor, averages_coh_sq(p1, p2, 0.0)))
     col.add(
         "mc-phasor-matches-averages",
-        worst < EXACT_TOL and stderr_worst < EXACT_TOL,
+        worst < EXACT_TOL,
         EXACT_TOL,
-        f"max |sampled - closed| = {worst:.3e}, max stderr = {stderr_worst:.3e}",
+        f"max |phasor - closed| = {worst:.3e}",
     )
 
 
@@ -348,9 +345,12 @@ def _check_known_minima(col: _Collector):
 
 
 def _check_reductions(col: _Collector, rng):
+    """gamma_x = 0 reduces the xpm kernel to two_sq, and a coherent pulse 1
+    reduces the general single-port closed-form optimum to coh_sq's own."""
     worst_x = 0.0
-    worst_c = 0.0
-    for _ in range(10):
+    worst_phase = 0.0
+    worst_s = 0.0
+    for i in range(10):
         t = float(rng.uniform(-0.5, 0.5))
         n1 = float(rng.uniform(10.0, 200.0))
         n2 = float(rng.uniform(10.0, 200.0))
@@ -365,10 +365,15 @@ def _check_reductions(col: _Collector, rng):
             kx = kernel_xpm(p1, p2, t, index)
             k2 = kernel_two_sq(p1, p2, t, index)
             worst_x = max(worst_x, abs(kx.a_h - k2.a_h), abs(kx.b_g - k2.b_g))
-            p1c = PulseSpec(n0=n1, envelope=env, gamma=0.0, phi_lin=l1)
-            k2c = kernel_two_sq(p1c, p2, t, index)
-            kc = kernel_coh_sq(p1c, p2, t, index)
-            worst_c = max(worst_c, abs(k2c.a_h - kc.a_h), abs(k2c.b_g - kc.b_g))
+        p1c = PulseSpec(n0=n1, envelope=env, phi_lin=l1)
+        omega0 = 0.3 * i
+        general = optimal_phase_two_sq(p1c, p2, t, omega0)
+        special = optimal_phase_coh_sq(p1c, p2, t, omega0)
+        # S_min cancels terms of size 2 nbar1 phi2 L0 sqrt(1 + phi2^2 L0^2)
+        phi_l0 = p2.spm_phase(t) * lorentzian(omega0)
+        scale = max(1.0, 2.0 * p1c.mean_photons(t) * phi_l0 * math.sqrt(1.0 + phi_l0**2))
+        worst_phase = max(worst_phase, abs(general.delta_phi_opt - special.delta_phi_opt))
+        worst_s = max(worst_s, abs(general.s_min_closed - special.s_min_closed) / scale)
     col.add(
         "reduction-xpm-to-two-sq",
         worst_x <= REDUCTION_TOL,
@@ -377,9 +382,10 @@ def _check_reductions(col: _Collector, rng):
     )
     col.add(
         "reduction-two-sq-to-coh-sq",
-        worst_c <= REDUCTION_TOL,
+        worst_phase <= REDUCTION_TOL and worst_s <= REDUCTION_TOL,
         REDUCTION_TOL,
-        f"gamma1 = 0 collapses the two_sq kernel onto coh_sq within {worst_c:.3e}",
+        f"gamma1 = 0 collapses the two_sq closed-form optimum onto coh_sq: offsets "
+        f"within {worst_phase:.3e}, S_min within {worst_s:.3e} of its cancelling terms",
     )
 
 
@@ -501,15 +507,14 @@ def _check_coherent_baseline(col: _Collector):
                 ok &= bool(np.all(result.spectrum.values == 1.0))
                 ok &= bool(np.all(result.spectrum.normalized == 0.0))
             if config.kind is ScenarioKind.COH_SQ:
-                est = mc_coherent_phasor(10_000, config.pulses[0], config.pulses[1], 0.0, seed=SEED)
-                ref = run(config).summary
-                worst_mc = max(worst_mc, _summary_gap(est.summary, ref))
+                phasor = mc_coherent_phasor(config.pulses[0], config.pulses[1], 0.0)
+                worst_mc = max(worst_mc, _summary_gap(phasor, run(config).summary))
     col.add(
         "coherent-baseline",
         ok and worst_mc < EXACT_TOL,
         EXACT_TOL,
         "all-coherent scenarios give S identically 1, S* identically 0; "
-        f"sampled averages agree within {worst_mc:.3e}",
+        f"phasor averages agree within {worst_mc:.3e}",
     )
 
 
@@ -585,31 +590,32 @@ def _check_vector_scalar_consistency(col: _Collector):
 
 def _check_api_guards(col: _Collector):
     ok = True
-    try:
-        scan_phase(lambda d: (0.0, 0.0), 0.0, resolution=100)
-        ok = False
-    except ValueError:
-        pass
-    try:
-        QuadratureSpec(points=4002)
-        ok = False
-    except ValueError:
-        pass
-    try:
-        QuadratureSpec(truncation=5.0)
-        ok = False
-    except ValueError:
-        pass
+    flat = CorrelationKernel(0.0, 0.0, 0.0, StokesIndex.S2)
+    for call in (
+        lambda: scan_phase(lambda d: (0.0, 0.0), -1.0),
+        lambda: wk_numeric(flat, RelaxationKernel(1.0), 1.0, points=4002),
+        lambda: wk_numeric(flat, RelaxationKernel(1.0), 1.0, points=2001),
+    ):
+        try:
+            call()
+            ok = False
+        except ValueError:
+            pass
     col.add(
         "api-guards",
         ok,
         None,
-        "coarse scan resolutions and inadequate quadrature settings are rejected",
+        "negative scan frequencies and even or too coarse quadrature grids are rejected",
     )
 
 
 def run_checks(tau_r_mismatch: float = 1.0) -> VerifyReport:
-    """Run the full self-check suite; see module docstring for the fault hook."""
+    """Run the full self-check suite; see module docstring for the fault hook.
+
+    Raises ValueError when ``tau_r_mismatch`` is not a finite number > 0.
+    """
+    if not (math.isfinite(tau_r_mismatch) and tau_r_mismatch > 0.0):
+        raise ValueError(f"tau_r_mismatch must be a finite number > 0, got {tau_r_mismatch!r}")
     start = time.perf_counter()
     col = _Collector()
     rng = np.random.default_rng(SEED)

@@ -214,6 +214,14 @@ def test_verify_detects_injected_fourier_mismatch(capsys):
     assert broken and all(name.startswith("fourier-pair") for name in broken)
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_verify_rejects_a_non_positive_or_non_finite_injection(value, capsys):
+    code, out, err = run_cli(capsys, "verify", "--inject-tau-mismatch", value)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert [i["field"] for i in stderr_error(err)["issues"]] == ["inject-tau-mismatch"]
+
+
 def test_reference_config_round_trips_through_run(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "reference-config")
     assert code == EXIT_OK
@@ -305,3 +313,28 @@ def test_figure_with_strong_coupling_keeps_stderr_empty(tmp_path):
     assert proc.returncode == EXIT_OK
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["files"] == ["fig8_a.csv", "fig8_b.csv"]
+
+
+def test_gaussian_duration_underflow_maps_to_validation_exit(tmp_path, capsys):
+    path = tmp_path / "short.ini"
+    path.write_text(BASIC.replace("n0 = 100", "n0 = 100\nenvelope = gaussian\ntau_p = 1e-200"))
+    code, out, err = run_cli(capsys, "run", "--config", path, "--out", tmp_path / "x.csv")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "pulse2.tau_p" in [i["field"] for i in stderr_error(err)["issues"]]
+
+
+def test_denormal_normalization_maps_to_validation_exit(tmp_path, capsys):
+    # S - 1 divided by 1e-310 overflows to -inf, which must reach neither
+    # the CSV nor the JSON document
+    path = tmp_path / "tiny.ini"
+    path.write_text(BASIC.replace("omega0 = 0.0", "omega0 = 0.0\nnormalization = 1e-310"))
+    for fmt in ("csv", "json"):
+        out_path = tmp_path / f"x.{fmt}"
+        code, out, err = run_cli(
+            capsys, "run", "--config", path, "--out", out_path, "--format", fmt
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "not finite" in stderr_error(err)["issues"][0]["message"]
+        assert not out_path.exists()

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,8 +184,15 @@ def unit_pair_coefficients(dphi):
 
 
 def test_scan_needs_enough_resolution():
-    with pytest.raises(ValueError, match="resolution"):
-        scan_phase(unit_pair_coefficients, 0.0, resolution=100)
+    """The coarse pass covers one period with 720 evenly spaced offsets."""
+    seen = []
+
+    def recording(dphi):
+        seen.append(dphi)
+        return unit_pair_coefficients(dphi)
+
+    scan_phase(recording, 0.0)
+    np.testing.assert_array_equal(seen[0], np.arange(720) * (2 * math.pi / 720))
 
 
 def test_scan_rejects_negative_frequency():

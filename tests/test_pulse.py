@@ -40,6 +40,13 @@ def test_shaped_envelope_requires_duration():
         Envelope(EnvelopeShape.SECH, tau_p=-1.0)
 
 
+def test_gaussian_duration_whose_square_underflows_is_rejected():
+    # 2 tau_p^2 underflows to 0, so amplitude() would divide by zero
+    with pytest.raises(ValueError, match="tau_p"):
+        Envelope(EnvelopeShape.GAUSSIAN, tau_p=1e-200)
+    assert Envelope(EnvelopeShape.GAUSSIAN, tau_p=1e-150).amplitude(0.0) == 1.0
+
+
 @pytest.mark.parametrize("shape", [EnvelopeShape.GAUSSIAN, EnvelopeShape.SECH])
 def test_nonlinear_quantities_track_local_intensity(shape):
     pulse = PulseSpec(n0=50.0, envelope=Envelope(shape, tau_p=3.0), gamma=0.02, gamma_x=0.01)

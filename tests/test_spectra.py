@@ -125,6 +125,17 @@ def test_spectrum_grid_validation():
         spectrum(kern, np.array([0.0, 1.0]), reference_intensity=0.0)
 
 
+def test_spectrum_rejects_non_finite_normalized_values():
+    # S - 1 is of order 1, so a denormal reference overflows S* to -inf
+    kern = kernel_coh_sq(P1, P2, t=0.0)
+    huge = CorrelationKernel(1e308, 1e308, 0.0, StokesIndex.S2)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            spectrum(kern, np.array([0.0, 1.0]), reference_intensity=1e-310)
+        with pytest.raises(ValueError, match="not finite"):
+            spectrum(huge, np.array([0.0, 1.0]))
+
+
 def test_kernel_rejects_non_finite_coefficients():
     with pytest.raises(ValueError):
         CorrelationKernel(math.nan, 0.0, 0.0, StokesIndex.S2)
