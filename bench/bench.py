@@ -84,7 +84,7 @@ def measure_layers(tree: Path) -> dict[str, float]:
     warnings.simplefilter("ignore")  # physics warnings are not what is timed
     rows = {}
 
-    def best(fn) -> float:
+    def per_call(fn) -> float:
         timer = timeit.Timer(fn)
         number = max(timer.autorange()[0], 1)
         return timer.timeit(number) / number
@@ -94,15 +94,15 @@ def measure_layers(tree: Path) -> dict[str, float]:
         path = tree / "configs" / f"{name}.ini"
         config = load_config(path)
         results[name] = run(config)
-        rows[f"load_config {name}"] = best(lambda: load_config(path))
-        rows[f"run() {name}"] = best(lambda: run(config))
+        rows[f"load_config {name}"] = per_call(lambda: load_config(path))
+        rows[f"run() {name}"] = per_call(lambda: run(config))
     grid = results["coh_sq"].config.omega_grid.to_array()
     kern = CorrelationKernel(a_h=-0.4, b_g=0.3, t=0.0, stokes_index=StokesIndex.S2)
-    rows["spectrum 512 points"] = best(lambda: spectrum(kern, grid, 1.0))
+    rows["spectrum 512 points"] = per_call(lambda: spectrum(kern, grid, 1.0))
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / "spectrum.csv"
         series = results["coh_sq"].spectrum
-        rows["csv write 512 points"] = best(lambda: _write_spectrum_csv(out, series))
+        rows["csv write 512 points"] = per_call(lambda: _write_spectrum_csv(out, series))
     return rows
 
 
