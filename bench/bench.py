@@ -12,8 +12,10 @@ rows are measured, each as the minimum of ``REPEATS`` runs:
   each config in ``configs/``, ``kerrstokes figure --figure-id 2`` and
   ``kerrstokes verify``; the wall time and the peak RSS of the child;
 * per layer, in one fresh interpreter per tree and run: ``load_config``,
-  ``run()``, ``spectrum`` on the default 512-point grid and the CSV write,
-  each timed with ``timeit`` over enough calls to last at least 0.2 s.
+  ``run()``, the phase scan (one ``optimal_phase_two_sq`` call, closed form
+  included), the kernel build (``kernel_two_sq``), ``spectrum`` on the
+  default 512-point grid and the CSV write, each timed with ``timeit`` over
+  enough calls to last at least 0.2 s.
 
 Both kinds of runs are interleaved across trees, round by round, so every
 column is measured in the same window on the same host.  Only the standard
@@ -78,8 +80,9 @@ def measure_layers(tree: Path) -> dict[str, float]:
 
     from kerrstokes.cli import _write_spectrum_csv
     from kerrstokes.config_io import load_config
+    from kerrstokes.optimize import optimal_phase_two_sq
     from kerrstokes.scenario import run
-    from kerrstokes.spectra import CorrelationKernel, StokesIndex, spectrum
+    from kerrstokes.spectra import CorrelationKernel, StokesIndex, kernel_two_sq, spectrum
 
     warnings.simplefilter("ignore")  # physics warnings are not what is timed
     rows = {}
@@ -96,6 +99,11 @@ def measure_layers(tree: Path) -> dict[str, float]:
         results[name] = run(config)
         rows[f"load_config {name}"] = per_call(lambda: load_config(path))
         rows[f"run() {name}"] = per_call(lambda: run(config))
+    two_sq = results["two_sq"].config
+    p1, p2 = two_sq.pulses
+    t, omega0 = two_sq.analysis_time, two_sq.omega0
+    rows["scan_phase two_sq"] = per_call(lambda: optimal_phase_two_sq(p1, p2, t, omega0))
+    rows["kernel build two_sq"] = per_call(lambda: kernel_two_sq(p1, p2, t))
     grid = results["coh_sq"].config.omega_grid.to_array()
     kern = CorrelationKernel(a_h=-0.4, b_g=0.3, t=0.0, stokes_index=StokesIndex.S2)
     rows["spectrum 512 points"] = per_call(lambda: spectrum(kern, grid, 1.0))

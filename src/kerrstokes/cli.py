@@ -78,11 +78,10 @@ def _run_payload(result, **extra):
 
 
 def _write_spectrum_csv(path: Path, series) -> None:
-    lines = ["omega,s_value,s_star"]
-    for omega, value, star in zip(series.omega, series.values, series.normalized):
-        lines.append(f"{omega:.17g},{value:.17g},{star:.17g}")
+    rows = zip(series.omega.tolist(), series.values.tolist(), series.normalized.tolist())
     with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("omega,s_value,s_star\n")
+        handle.writelines(f"{omega:.17g},{value:.17g},{star:.17g}\n" for omega, value, star in rows)
 
 
 def _parse_grid_flag(text: str) -> OmegaGrid:
@@ -140,9 +139,9 @@ def cmd_run(args) -> int:
             document = _run_payload(
                 result,
                 spectrum={
-                    "omega": [float(v) for v in series.omega],
-                    "s_value": [float(v) for v in series.values],
-                    "s_star": [float(v) for v in series.normalized],
+                    "omega": series.omega.tolist(),
+                    "s_value": series.values.tolist(),
+                    "s_star": series.normalized.tolist(),
                 },
             )
             with open(out, "w", encoding="ascii", newline="\n") as handle:

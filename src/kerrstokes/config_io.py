@@ -161,6 +161,8 @@ def load_config(path) -> ScenarioConfig:
             parser.read_file(handle)
         except configparser.Error as exc:
             raise ConfigParseError(f"bad config syntax: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError(f"config is not UTF-8 text: {exc}") from None
 
     issues: list[ValidationIssue] = []
     known = {"scenario", "medium", "grid", "pulse1", "pulse2", "pulse3", "beamsplitter"}

@@ -11,13 +11,13 @@ another; disagreements beyond tolerance are flagged, not hidden.  The
 single-port kinds coh_sq, two_sq and xpm share one optimizer body; only
 coh_sq keeps a closed form of its own (see :func:`optimal_phase_coh_sq`).
 
-The scan shares only the kernel formulas with the rest of the package:
-each optimizer builds a ``coefficients(delta_phi)`` closure that feeds
-the pulse scalars and the offset interference angle(s) to the family's
-coefficient core in :mod:`kerrstokes.spectra`, repeating the float
-operations of the ``offset_*`` helpers and ``PulseSpec.total_phase`` in
-the same order.  The coarse pass evaluates the closure once on an ndarray
-of all offsets; no pulse is rebuilt inside a scan.
+The scan shares only the kernel families of :mod:`kerrstokes.spectra`
+with the rest of the package: each optimizer builds its family once and
+scans ``family(anchor.phi_lin +/- delta_phi)``, the free pulse's linear
+phase under the offset convention below, so the interference angle is
+computed where the kernel builders compute it.  The coarse pass evaluates
+the family once on an ndarray of all offsets; no pulse is rebuilt inside
+a scan.
 
 Phase-offset conventions (also encoded in the ``offset_*`` helpers):
 
@@ -41,13 +41,13 @@ from .kernel import lorentzian
 from .pulse import PulseSpec
 from .spectra import (
     StokesIndex,
-    bs_s01_coefficients,
-    bs_s2_coefficients,
     _single_port_scalars,
-    single_port_coefficients,
+    bs_s01_family,
+    bs_s2_family,
+    single_port_family,
     spectrum_from_coefficients,
 )
-from .stokes import _require_coherent, _require_unit_split
+from .stokes import _require_coherent
 
 __all__ = [
     "PhaseOptimum",
@@ -68,6 +68,7 @@ TWO_PI = 2.0 * math.pi
 SCAN_RESOLUTION_MIN = 720
 # Golden-section refinement terminates on this change in S (not in phase).
 SCAN_VALUE_TOL = 1e-12
+GOLDEN_MAX_ITER = 300
 # Closed form and scan must agree to this before a discrepancy is flagged;
 # also the slack allowed in "numeric minimum <= closed minimum".
 AGREEMENT_TOL = 1e-9
@@ -123,16 +124,17 @@ def _check_omega0(omega0: float) -> None:
         raise ValueError(f"omega0 must be a finite number >= 0, got {omega0!r}")
 
 
-def _golden_refine(f, a: float, b: float, max_iter: int = 300):
+def _golden_refine(f, a: float, b: float):
     """Golden-section minimization of f on [a, b], unimodal assumed.
 
     Terminates when the two interior S values agree to SCAN_VALUE_TOL (the
-    tolerance is on the spectrum value, not on the phase)."""
+    tolerance is on the spectrum value, not on the phase), or after
+    GOLDEN_MAX_ITER steps."""
     c = b - _INV_GOLD * (b - a)
     d = a + _INV_GOLD * (b - a)
     fc = f(c)
     fd = f(d)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if abs(fc - fd) < SCAN_VALUE_TOL or (b - a) < 1e-14:
             break
         if fc < fd:
@@ -238,18 +240,13 @@ def _optimal_single_port(
     :func:`optimal_phase_coh_sq` instead.
     """
     _check_omega0(omega0)
-    scalars = _single_port_scalars(p1, p2, t, include_xpm)
-    phase1 = p1.total_phase(t, include_xpm)
-    kerr2 = p2.kerr_phase(t, include_xpm)
-    phi_lin1 = p1.phi_lin
+    family = single_port_family(p1, p2, t, StokesIndex.S2, include_xpm)
 
-    def coefficients(delta_phi):
-        # the single-port kernel with pulse 2 at offset_partner_phase(p1, p2, delta_phi)
-        theta = phase1 - (kerr2 + (phi_lin1 + delta_phi))
-        return single_port_coefficients(theta, *scalars)
+    def coefficients(delta_phi):  # pulse 2 at offset_partner_phase(p1, p2, delta_phi)
+        return family(p1.phi_lin + delta_phi)
 
     # numpy scalars, so that the closed form overflows to inf (see _assemble)
-    n1, n2, phi1, phi2, phix1, phix2 = map(np.float64, scalars)
+    n1, n2, phi1, phi2, phix1, phix2 = map(np.float64, _single_port_scalars(p1, p2, t, include_xpm))
     imbalance = n1 * phi2 - n2 * phi1
     weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
     if (n1 * phi2 if coherent else weight) == 0.0:
@@ -351,28 +348,21 @@ def optimal_phase_bs_s01(
     range of the cosine; the result is flagged "arccos-domain",
     delta_phi_opt is nan and the scan values are authoritative.
     """
-    if which not in (StokesIndex.S0, StokesIndex.S1):
-        raise ValueError(f"which must be S0 or S1, got {which!r}")
-    _require_unit_split(bs)
+    family = bs_s01_family(p1, p2, bs, t, which)
     _check_omega0(omega0)
 
     problems = _bs_contract_issues(p1, p2, t, which)
     if problems:
         raise ScenarioContractError(problems[0])
+
+    def coefficients(delta_phi):  # pulse 1 at offset_bs_input_phase(p1, p2, delta_phi)
+        return family(p2.phi_lin + delta_phi)
+
     # numpy scalars, so that the closed form overflows to inf (see _assemble)
     n1, n2, phi1, phi2 = map(
         np.float64, (p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t))
     )
-
     sign = 1.0 if which is StokesIndex.S0 else -1.0
-    kerr1 = p1.kerr_phase(t)
-    total2 = p2.total_phase(t)
-
-    def coefficients(delta_phi):
-        # kernel_bs_s01 with pulse 1 at offset_bs_input_phase(p1, p2, delta_phi)
-        dphi = (kerr1 + (p2.phi_lin + delta_phi)) - total2
-        return bs_s01_coefficients(dphi, n1, n2, phi1, phi2, bs.r, bs.t, sign)
-
     weight = n1 * phi2**2 + n2 * phi1**2
     if bs.r * bs.t == 0.0 or weight == 0.0:
         return _degenerate(coefficients, omega0)
@@ -409,23 +399,17 @@ def optimal_phase_bs_s2(
     The scan runs on the same kernel and is authoritative whenever it finds
     a deeper minimum (flagged, see PhaseOptimum).
     """
-    _require_unit_split(bs)
-    _require_coherent(p3, "probe pulse 3")
+    family = bs_s2_family(p1, p2, p3, bs, t, StokesIndex.S2)
     _check_omega0(omega0)
     problems = _bs_contract_issues(p1, p2, t, StokesIndex.S2)
     if problems:
         raise ScenarioContractError(problems[0])
+
+    def coefficients(delta_phi):  # the probe at offset_bs_probe_phase(p2, p3, delta_phi)
+        return family(p2.phi_lin - delta_phi)
+
     # numpy scalars, so that the closed form overflows to inf (see _assemble)
     n3, phi1, phi2 = map(np.float64, (p3.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)))
-
-    total1 = p1.total_phase(t)
-    total2 = p2.total_phase(t)
-
-    def coefficients(delta_phi):
-        # kernel_bs_s2 with the probe at offset_bs_probe_phase(p2, p3, delta_phi)
-        phi_lin3 = p2.phi_lin - delta_phi
-        return bs_s2_coefficients(total1 - phi_lin3, total2 - phi_lin3, n3, phi1, phi2, bs.r, bs.t)
-
     phi = phi1
     if n3 * phi == 0.0:
         return _degenerate(coefficients, omega0)

@@ -90,8 +90,8 @@ class BeamSplitter:
 
 # Largest accepted OmegaGrid.count, over 8x the largest benchmark grid.  Output
 # grows linearly with the grid: a ``kerrstokes run`` at 10^6 points peaks at
-# 176 MB RSS with --format json and 292 MB with csv (CPython 3.11, x86_64), so a
-# mistyped --grid cannot ask for gigabytes.
+# 169 MB RSS with either --format (CPython 3.11, numpy 2, x86_64; 31 MB at 2
+# points), so a mistyped --grid cannot ask for gigabytes.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -317,11 +317,6 @@ def _shift_optimum(opt: PhaseOptimum, shift: float) -> PhaseOptimum:
     )
 
 
-def _flat_coefficients(delta_phi):
-    """Kernel coefficients of a conserved Stokes component: zero at every offset."""
-    return 0.0, 0.0
-
-
 def _photon_number(index: StokesIndex) -> bool:
     return index in (StokesIndex.S0, StokesIndex.S1)
 
@@ -351,9 +346,12 @@ def _single_port(kind: ScenarioKind, coherent=()) -> _Kind:
     name = kind.value
 
     def optimum(config, t):
-        if _photon_number(config.stokes_index):
-            return _degenerate(_flat_coefficients, config.omega0)
         p = config.pulses
+        if _photon_number(config.stokes_index):
+            flat = spectra.single_port_family(
+                p[0], p[1], t, config.stokes_index, kind is ScenarioKind.XPM
+            )
+            return _degenerate(lambda delta_phi: flat(p[0].phi_lin + delta_phi), config.omega0)
         base = getattr(optimize, f"optimal_phase_{name}")(p[0], p[1], t, config.omega0)
         return _shift_optimum(base, HALF_PI) if config.stokes_index is StokesIndex.S3 else base
 

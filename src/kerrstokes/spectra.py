@@ -17,15 +17,19 @@ S below 1 signal squeezing of the corresponding Stokes component.  The
 normalized version S* = (S - 1) / reference_intensity rescales the
 squeezing/excess relative to a chosen shot-noise intensity.
 
-The scenario kinds share three kernel families, each with one
-coefficient core: single-port, beam-splitter S0/S1 and beam-splitter S2.
-The single-port kinds form the reduction chain xpm -> two_sq -> coh_sq, so
-``kernel_xpm``, ``kernel_two_sq`` and ``kernel_coh_sq`` wrap one body.  The
-cores also accept ndarrays of interference angles, which is how the phase
-scan in :mod:`kerrstokes.optimize` evaluates many offsets at once.  The S3 kernels
-follow from the S2 ones by advancing every interference angle by pi/2,
-which swaps the roles of the cos/sin quadratures; S0 and S1 are conserved
-in the single-port family, giving the flat kernel a_h = b_g = 0.
+The scenario kinds share three kernel families, and each family is one
+function: ``single_port_family``, ``bs_s01_family`` and ``bs_s2_family``
+take the pulses and return ``coefficients(phi_free) -> (a_h, b_g)``, where
+phi_free is the linear phase of the family's free pulse (phi_lin2,
+phi_lin1 and the probe's phi_lin3 respectively).  The five ``kernel_*``
+builders evaluate their family at the configured phase; the phase scan in
+:mod:`kerrstokes.optimize` evaluates it on an ndarray of offset phases, so
+both share one interference angle and one formula per family.  The
+single-port kinds form the reduction chain xpm -> two_sq -> coh_sq.  The
+S3 kernels follow from the S2 ones by advancing every interference angle
+by pi/2, which swaps the roles of the cos/sin quadratures; S0 and S1 are
+conserved in the single-port family, whose coefficients are then 0 at
+every phase.
 """
 
 from __future__ import annotations
@@ -49,9 +53,9 @@ __all__ = [
     "kernel_xpm",
     "kernel_bs_s01",
     "kernel_bs_s2",
-    "single_port_coefficients",
-    "bs_s01_coefficients",
-    "bs_s2_coefficients",
+    "single_port_family",
+    "bs_s01_family",
+    "bs_s2_family",
     "spectrum",
     "spectrum_from_coefficients",
     "spectrum_value",
@@ -85,12 +89,8 @@ class CorrelationKernel:
             raise ValueError(f"stokes_index must be a StokesIndex, got {self.stokes_index!r}")
 
 
-def _flat(t: float, index: StokesIndex) -> CorrelationKernel:
-    return CorrelationKernel(0.0, 0.0, t, index)
-
-
-def _kernel(coefficients, t: float, index: StokesIndex) -> CorrelationKernel:
-    a_h, b_g = coefficients
+def _kernel(family, phi_free, t: float, index: StokesIndex) -> CorrelationKernel:
+    a_h, b_g = family(phi_free)
     return CorrelationKernel(float(a_h), float(b_g), t, index)
 
 
@@ -104,56 +104,6 @@ def _square(x):
     return np.float_power(x, 2)
 
 
-# Coefficient cores, one per kernel family.  Each maps pulse scalars and
-# interference angles to (a_h, b_g); the angles may be ndarrays (the phase
-# scan evaluates all its offsets in one call) and then so are the results.
-# A Python float squared past the double range raises OverflowError where a
-# numpy scalar gives inf; each core saturates its Kerr weight to inf, which
-# the kernel builders and the phase scan reject with a ValueError.
-
-
-def single_port_coefficients(theta, n1, n2, phi1, phi2, phix1=0.0, phix2=0.0):
-    """(a_h, b_g) of the single-port family at interference angle ``theta``.
-
-    a_h = (nbar1 phi2 - nbar2 phi1) sin(2 theta)
-    b_g = (nbar1 [phi2^2 + phix2^2] + nbar2 [phi1^2 + phix1^2]) sin(theta)^2
-
-    two_sq is the case phix = 0 and coh_sq additionally has phi1 = 0; the
-    vanishing terms drop out exactly, so all three kinds share these bits.
-    """
-    a_h = (n1 * phi2 - n2 * phi1) * np.sin(2.0 * theta)
-    try:
-        weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
-    except OverflowError:
-        weight = math.inf
-    return a_h, weight * _square(np.sin(theta))
-
-
-def bs_s01_coefficients(dphi, n1, n2, phi1, phi2, ref, trans, sign):
-    """(a_h, b_g) of beam-splitter S0 (sign +1) or S1 (sign -1) at angle ``dphi``."""
-    cos = np.cos(dphi)
-    beat = (
-        2.0 * math.sqrt(ref * trans) * math.sqrt(n1 * n2) * (ref * phi1 + sign * trans * phi2) * cos
-    )
-    spm = ref * trans * (n1 * phi2 - n2 * phi1) * np.sin(2.0 * dphi)
-    try:
-        weight = ref * trans * (n1 * phi2**2 + n2 * phi1**2)
-    except OverflowError:
-        weight = math.inf
-    return -(beat + spm), weight * _square(cos)
-
-
-def bs_s2_coefficients(psi1, psi2, n3, phi1, phi2, ref, trans):
-    """(a_h, b_g) of beam-splitter S2 at probe angles ``psi1``, ``psi2``."""
-    a_h = n3 * (ref * phi1 * np.sin(2.0 * psi1) - trans * phi2 * np.sin(2.0 * psi2))
-    try:
-        weight1, weight2 = ref * phi1**2, trans * phi2**2
-    except OverflowError:
-        weight1 = weight2 = math.inf
-    b_g = n3 * (weight1 * _square(np.cos(psi1)) + weight2 * _square(np.sin(psi2)))
-    return a_h, b_g
-
-
 def _single_port_scalars(p1: PulseSpec, p2: PulseSpec, t: float, include_xpm: bool):
     """(nbar1, nbar2, phi1, phi2, phix1, phix2); phix = 0.0 without ``include_xpm``."""
     phix = (p1.xpm_phase(t), p2.xpm_phase(t)) if include_xpm else (0.0, 0.0)
@@ -162,50 +112,51 @@ def _single_port_scalars(p1: PulseSpec, p2: PulseSpec, t: float, include_xpm: bo
     )
 
 
-def _single_port_kernel(
+# Each family computes what does not depend on phi_free once, when it is
+# built.  A Python float squared past the double range raises OverflowError
+# where a numpy scalar gives inf; each family saturates its Kerr weight to
+# inf, which the kernel builders and the phase scan reject with a ValueError.
+
+
+def single_port_family(
     p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex, include_xpm: bool
-) -> CorrelationKernel:
-    """Single-port kernel at theta = Phi1(t) - Phi2(t), the total phases taken
-    with the XPM shift when ``include_xpm`` is set.  S0 and S1 are
-    photon-number observables, conserved here, so their kernel is flat."""
+):
+    """Single-port coefficients as a function of phi_lin2.
+
+    With theta = Phi1(t) - Phi2(t), the total phases taken with the XPM
+    shift when ``include_xpm`` is set (phix = 0 otherwise):
+
+    a_h = (nbar1 phi2 - nbar2 phi1) sin(2 theta)
+    b_g = (nbar1 [phi2^2 + phix2^2] + nbar2 [phi1^2 + phix1^2]) sin(theta)^2
+
+    two_sq is the case phix = 0 and coh_sq additionally has phi1 = 0; the
+    vanishing terms drop out exactly, so all three kinds share these bits.
+    S3 advances theta by pi/2.  S0 and S1 are photon-number observables,
+    conserved here, so their coefficients are 0 at every phase.
+    """
     if index in (StokesIndex.S0, StokesIndex.S1):
-        return _flat(t, index)
-    theta = p1.total_phase(t, include_xpm) - p2.total_phase(t, include_xpm)
-    if index is StokesIndex.S3:
-        theta = theta + HALF_PI
-    return _kernel(
-        single_port_coefficients(theta, *_single_port_scalars(p1, p2, t, include_xpm)), t, index
-    )
+        return lambda phi_lin2: (0.0, 0.0)
+    n1, n2, phi1, phi2, phix1, phix2 = _single_port_scalars(p1, p2, t, include_xpm)
+    imbalance = n1 * phi2 - n2 * phi1
+    try:
+        weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
+    except OverflowError:
+        weight = math.inf
+    phase1 = p1.total_phase(t, include_xpm)
+    kerr2 = p2.kerr_phase(t, include_xpm)
+    s3 = index is StokesIndex.S3
+
+    def coefficients(phi_lin2):
+        theta = phase1 - (kerr2 + phi_lin2)
+        if s3:
+            theta = theta + HALF_PI
+        return imbalance * np.sin(2.0 * theta), weight * _square(np.sin(theta))
+
+    return coefficients
 
 
-def kernel_coh_sq(
-    p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
-) -> CorrelationKernel:
-    """Coherent pulse 1 + Kerr pulse 2: phi1 = 0, so theta = phi_lin1 - Phi2(t),
-    a_h = nbar1 phi2 sin(2 theta) and b_g = nbar1 phi2^2 sin(theta)^2."""
-    _require_coherent(p1, "pulse 1")
-    return _single_port_kernel(p1, p2, t, index, include_xpm=False)
-
-
-def kernel_two_sq(
-    p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
-) -> CorrelationKernel:
-    """Two independently Kerr-propagated pulses (phix = 0, gamma_x is ignored)."""
-    return _single_port_kernel(p1, p2, t, index, include_xpm=False)
-
-
-def kernel_xpm(
-    p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
-) -> CorrelationKernel:
-    """Co-propagating pulses with SPM and mutual XPM: the XPM-shifted theta;
-    the cross couplings enter b_g only."""
-    return _single_port_kernel(p1, p2, t, index, include_xpm=True)
-
-
-def kernel_bs_s01(
-    p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex = StokesIndex.S0
-) -> CorrelationKernel:
-    """S0 / S1 fluctuations of the beam-splitter scenario.
+def bs_s01_family(p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex):
+    """Beam-splitter S0 / S1 coefficients as a function of phi_lin1.
 
     Only the two Kerr pulses mixed on the splitter contribute; the probe on
     the other polarization cancels out of the photon-number observables.
@@ -219,34 +170,33 @@ def kernel_bs_s01(
     if which not in (StokesIndex.S0, StokesIndex.S1):
         raise ValueError(f"which must be S0 or S1, got {which!r}")
     _require_unit_split(bs)
-    return _kernel(
-        bs_s01_coefficients(
-            p1.total_phase(t) - p2.total_phase(t),
-            p1.mean_photons(t),
-            p2.mean_photons(t),
-            p1.spm_phase(t),
-            p2.spm_phase(t),
-            bs.r,
-            bs.t,
-            1.0 if which is StokesIndex.S0 else -1.0,
-        ),
-        t,
-        which,
-    )
+    ref, trans = bs.r, bs.t
+    sign = 1.0 if which is StokesIndex.S0 else -1.0
+    n1, n2, phi1, phi2 = p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
+    beat = 2.0 * math.sqrt(ref * trans) * math.sqrt(n1 * n2) * (ref * phi1 + sign * trans * phi2)
+    spm = ref * trans * (n1 * phi2 - n2 * phi1)
+    try:
+        weight = ref * trans * (n1 * phi2**2 + n2 * phi1**2)
+    except OverflowError:
+        weight = math.inf
+    kerr1 = p1.kerr_phase(t)
+    total2 = p2.total_phase(t)
+
+    def coefficients(phi_lin1):
+        dphi = (kerr1 + phi_lin1) - total2
+        cos = np.cos(dphi)
+        return -(beat * cos + spm * np.sin(2.0 * dphi)), weight * _square(cos)
+
+    return coefficients
 
 
-def kernel_bs_s2(
-    p1: PulseSpec,
-    p2: PulseSpec,
-    p3: PulseSpec,
-    bs,
-    t: float,
-    index: StokesIndex = StokesIndex.S2,
-) -> CorrelationKernel:
-    """S2 / S3 fluctuations of the beam-splitter scenario.
+def bs_s2_family(
+    p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float, index: StokesIndex
+):
+    """Beam-splitter S2 / S3 coefficients as a function of the probe phase phi_lin3.
 
     The coherent probe (pulse 3) beats against the monitored output port.
-    With psi_j = Phi_j(t) - phi_lin3:
+    With psi_j = Phi_j(t) - phi_lin3, both advanced by pi/2 for S3:
 
     a_h = nbar3 ( R phi1 sin(2 psi1) - T phi2 sin(2 psi2) )
     b_g = nbar3 ( R phi1^2 cos(psi1)^2 + T phi2^2 sin(psi2)^2 )
@@ -255,18 +205,65 @@ def kernel_bs_s2(
         raise ValueError(f"index must be S2 or S3, got {index!r}")
     _require_unit_split(bs)
     _require_coherent(p3, "probe pulse 3")
-    psi1 = p1.total_phase(t) - p3.phi_lin
-    psi2 = p2.total_phase(t) - p3.phi_lin
-    if index is StokesIndex.S3:
-        psi1 = psi1 + HALF_PI
-        psi2 = psi2 + HALF_PI
-    return _kernel(
-        bs_s2_coefficients(
-            psi1, psi2, p3.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t), bs.r, bs.t
-        ),
-        t,
-        index,
-    )
+    ref, trans = bs.r, bs.t
+    n3, phi1, phi2 = p3.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
+    try:
+        weight1, weight2 = ref * phi1**2, trans * phi2**2
+    except OverflowError:
+        weight1 = weight2 = math.inf
+    total1 = p1.total_phase(t)
+    total2 = p2.total_phase(t)
+    s3 = index is StokesIndex.S3
+
+    def coefficients(phi_lin3):
+        psi1 = total1 - phi_lin3
+        psi2 = total2 - phi_lin3
+        if s3:
+            psi1 = psi1 + HALF_PI
+            psi2 = psi2 + HALF_PI
+        a_h = n3 * (ref * phi1 * np.sin(2.0 * psi1) - trans * phi2 * np.sin(2.0 * psi2))
+        b_g = n3 * (weight1 * _square(np.cos(psi1)) + weight2 * _square(np.sin(psi2)))
+        return a_h, b_g
+
+    return coefficients
+
+
+def kernel_coh_sq(
+    p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
+) -> CorrelationKernel:
+    """Coherent pulse 1 + Kerr pulse 2: phi1 = 0, so theta = phi_lin1 - Phi2(t),
+    a_h = nbar1 phi2 sin(2 theta) and b_g = nbar1 phi2^2 sin(theta)^2."""
+    _require_coherent(p1, "pulse 1")
+    return _kernel(single_port_family(p1, p2, t, index, False), p2.phi_lin, t, index)
+
+
+def kernel_two_sq(
+    p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
+) -> CorrelationKernel:
+    """Two independently Kerr-propagated pulses (phix = 0, gamma_x is ignored)."""
+    return _kernel(single_port_family(p1, p2, t, index, False), p2.phi_lin, t, index)
+
+
+def kernel_xpm(
+    p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
+) -> CorrelationKernel:
+    """Co-propagating pulses with SPM and mutual XPM: the XPM-shifted theta;
+    the cross couplings enter b_g only."""
+    return _kernel(single_port_family(p1, p2, t, index, True), p2.phi_lin, t, index)
+
+
+def kernel_bs_s01(
+    p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex = StokesIndex.S0
+) -> CorrelationKernel:
+    """S0 / S1 fluctuations of the beam-splitter scenario (see :func:`bs_s01_family`)."""
+    return _kernel(bs_s01_family(p1, p2, bs, t, which), p1.phi_lin, t, which)
+
+
+def kernel_bs_s2(
+    p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float, index: StokesIndex = StokesIndex.S2
+) -> CorrelationKernel:
+    """S2 / S3 fluctuations of the beam-splitter scenario (see :func:`bs_s2_family`)."""
+    return _kernel(bs_s2_family(p1, p2, p3, bs, t, index), p3.phi_lin, t, index)
 
 
 def spectrum_from_coefficients(a_h, b_g, omega):

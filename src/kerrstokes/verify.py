@@ -175,24 +175,23 @@ def _random_envelope(rng) -> Envelope:
     return Envelope(shape, float(rng.uniform(0.5, 2.0)))
 
 
-def _judge_sweep(col, name, optima, rejected=0, forbid_flags=True):
+def _judge_sweep(col, name, optima, rejected=0):
     """Assert scan <= closed + tol everywhere and exact agreement when unflagged.
 
     The closed forms checked through this helper are exact on their domains,
-    so by default any optimizer flag is itself a failure."""
+    so any optimizer flag is itself a failure."""
     bound_ok = all(o.s_min_numeric <= o.s_min_closed + AGREEMENT_TOL for o in optima)
     clean = [o for o in optima if not o.flags]
     agree_ok = all(o.agreement <= AGREEMENT_TOL for o in clean)
     for o in optima:
         col.flags.update(o.flags)
     flagged = len(optima) - len(clean)
-    flags_ok = flagged == 0 or not forbid_flags
     detail = (
         f"{len(optima)} draws, {flagged} flagged"
         + (f", {rejected} infeasible draws redrawn" if rejected else "")
         + f"; numeric <= closed bound {'held' if bound_ok else 'VIOLATED'}"
     )
-    col.add(name, bound_ok and agree_ok and flags_ok, AGREEMENT_TOL, detail)
+    col.add(name, bound_ok and agree_ok and flagged == 0, AGREEMENT_TOL, detail)
 
 
 def _check_optimum_coh_sq(col: _Collector, rng):

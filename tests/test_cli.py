@@ -151,6 +151,14 @@ def test_malformed_number_maps_to_parse_exit(tmp_path, capsys):
     assert stderr_error(err)["code"] == "parse"
 
 
+def test_non_utf8_config_maps_to_parse_exit(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"[scenario]\nkind = coh_sq\n# \xff\n")
+    code, _, err = run_cli(capsys, "run", "--config", path, "--out", tmp_path / "x.csv")
+    assert code == EXIT_PARSE
+    assert stderr_error(err)["code"] == "parse"
+
+
 def test_unbalanced_splitter_maps_to_validation_exit(tmp_path, capsys):
     path = tmp_path / "bs.ini"
     path.write_text(UNBALANCED_BS)

@@ -25,7 +25,7 @@ from kerrstokes.scenario import BeamSplitter
 from kerrstokes.spectra import (
     StokesIndex,
     kernel_coh_sq,
-    single_port_coefficients,
+    single_port_family,
     spectrum_value,
 )
 
@@ -177,10 +177,12 @@ class TestBeamSplitterS2:
         assert opt.s_min_numeric == pytest.approx(deeper, abs=1e-9)
 
 
+UNIT_PAIR = single_port_family(COHERENT_UNIT, KERR_UNIT_PHI, 0.0, StokesIndex.S2, False)
+
+
 def unit_pair_coefficients(dphi):
     """coh_sq (a_h, b_g) of COHERENT_UNIT and KERR_UNIT_PHI at offset dphi."""
-    theta = -(1.0 + dphi)  # phi_lin1 - Phi2 with phi2 = 1, phi_lin1 = 0
-    return single_port_coefficients(theta, 1.0, 100.0, 0.0, 1.0)
+    return UNIT_PAIR(COHERENT_UNIT.phi_lin + dphi)
 
 
 def test_scan_needs_enough_resolution():

@@ -5,7 +5,7 @@ pulse with ``dataclasses.replace``, evaluates the kernel formulas with
 ``math.sin``/``math.cos`` and Python floats, and keeps the first strictly
 smaller S; golden-section refinement follows with the same algorithm and
 tolerances as ``optimize``.  The oracle calls none of the package's kernel
-builders or coefficient cores, so the tests pin the arithmetic of the
+builders or kernel families, so the tests pin the arithmetic of the
 array path, not only its agreement to a tolerance.
 """
 
@@ -31,12 +31,7 @@ from kerrstokes.optimize import (
 )
 from kerrstokes.pulse import Envelope, EnvelopeShape, PulseSpec
 from kerrstokes.scenario import BeamSplitter, OmegaGrid, ScenarioConfig, ScenarioKind, run
-from kerrstokes.spectra import (
-    StokesIndex,
-    bs_s01_coefficients,
-    bs_s2_coefficients,
-    single_port_coefficients,
-)
+from kerrstokes.spectra import StokesIndex, bs_s01_family, bs_s2_family, single_port_family
 
 TWO_PI = 2.0 * math.pi
 INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -165,35 +160,68 @@ def assert_matches_oracle(opt, kernel_at):
     assert all(type(x) is float for x in got)
 
 
-# ----------------------------------------------------------------- cores
+# -------------------------------------------------------------- families
 
 
 def _bits(values):
     return [float(v).hex() for v in values]
 
 
-def test_coefficient_cores_match_scalar_formulas():
-    """Each core, on an ndarray and on scalars, equals its math-module formula.
+def test_kernel_families_match_scalar_formulas():
+    """Each family, on an ndarray of free phases and on scalars, equals its
+    math-module formula; the free pulse is rebuilt at every phase.
 
-    Over 4096 angles a square taken as x * x instead of pow(x, 2) differs
+    Over 4096 phases a square taken as x * x instead of pow(x, 2) differs
     in about 0.1 % of them, so the comparison would see it."""
     rng = np.random.default_rng(5)
-    angles = rng.uniform(-10.0, 10.0, 4096)
-    n1, n2, phi1, phi2, phix1, phix2 = (float(x) for x in rng.uniform(0.1, 3.0, 6))
-    ref, trans = 0.3, 0.7
-    cases = (
-        (single_port_coefficients, _single_port, (n1, n2, phi1, phi2, phix1, phix2)),
-        (bs_s01_coefficients, _bs_s01, (n1, n2, phi1, phi2, ref, trans, -1.0)),
-        (lambda x, *a: bs_s2_coefficients(x, x + 0.4, *a),
-         lambda x, *a: _bs_s2(x, x + 0.4, *a), (n1, phi1, phi2, ref, trans)),
+    phases = rng.uniform(-10.0, 10.0, 4096)
+    t = _u(rng, -0.5, 0.5)
+    p1, p2 = (
+        PulseSpec(n0=_u(rng, 10.0, 300.0), envelope=Envelope(EnvelopeShape.SECH, 1.3),
+                  gamma=_u(rng, 0.001, 0.01), gamma_x=_u(rng, 0.0005, 0.005),
+                  phi_lin=_u(rng, 0.0, TWO_PI))
+        for _ in range(2)
     )
-    for core, formula, args in cases:
-        want = [formula(float(x), *args) for x in angles]
-        a_h, b_g = core(angles, *args)
+    p3 = PulseSpec(n0=_u(rng, 10.0, 300.0), phi_lin=_u(rng, 0.0, TWO_PI))
+    bs = BeamSplitter(0.3, 0.7)
+    quarter = 0.5 * math.pi
+
+    def single_port(index, x):
+        if index in (StokesIndex.S0, StokesIndex.S1):
+            return 0.0, 0.0
+        theta = _total(p1, t, True) - _total(replace(p2, phi_lin=x), t, True)
+        if index is StokesIndex.S3:
+            theta = theta + quarter
+        return _single_port(
+            theta, p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t),
+            p1.xpm_phase(t), p2.xpm_phase(t),
+        )
+
+    def bs_s3(x):
+        return _bs_s2(
+            (_total(p1, t) - x) + quarter, (_total(p2, t) - x) + quarter, p3.mean_photons(t),
+            p1.spm_phase(t), p2.spm_phase(t), bs.r, bs.t,
+        )
+
+    cases = [
+        (single_port_family(p1, p2, t, index, True), lambda x, i=index: single_port(i, x))
+        for index in StokesIndex
+    ] + [
+        (bs_s01_family(p1, p2, bs, t, which),
+         lambda x, w=which: old_bs_s01(replace(p1, phi_lin=x), p2, bs, t, w))
+        for which in (StokesIndex.S0, StokesIndex.S1)
+    ] + [
+        (bs_s2_family(p1, p2, p3, bs, t, StokesIndex.S2),
+         lambda x: old_bs_s2(p1, p2, replace(p3, phi_lin=x), bs, t)),
+        (bs_s2_family(p1, p2, p3, bs, t, StokesIndex.S3), bs_s3),
+    ]
+    for family, formula in cases:
+        want = [formula(float(x)) for x in phases]
+        a_h, b_g = (np.broadcast_to(c, phases.shape) for c in family(phases))
         assert _bits(a_h) == _bits(w[0] for w in want)
         assert _bits(b_g) == _bits(w[1] for w in want)
-        for x, w in zip(angles[:256], want):
-            assert _bits(core(float(x), *args)) == _bits(w)
+        for x, w in zip(phases[:256], want):
+            assert _bits(family(float(x))) == _bits(w)
 
 
 # ----------------------------------------------------------------- draws
