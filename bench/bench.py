@@ -12,8 +12,9 @@ rows are measured, each as the minimum of ``REPEATS`` runs:
   each config in ``configs/``, ``kerrstokes figure --figure-id 2`` and
   ``kerrstokes verify``; the wall time and the peak RSS of the child;
 * per layer, in one fresh interpreter per tree and run: ``load_config``,
-  ``run()``, the phase scan (one ``optimal_phase_two_sq`` call, closed form
-  included), the kernel build (``kernel_two_sq``), ``spectrum`` on the
+  ``run()`` (and ``run()`` of the two_sq config switched to S3),
+  ``validate``, the phase scan (one ``optimal_phase_two_sq`` call, closed
+  form included), the kernel build (``kernel_two_sq``), ``spectrum`` on the
   default 512-point grid and the CSV write, each timed with ``timeit`` over
   enough calls to last at least 0.2 s.
 
@@ -25,6 +26,7 @@ library and numpy are used.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -81,8 +83,8 @@ def measure_layers(tree: Path) -> dict[str, float]:
     from kerrstokes.cli import _write_spectrum_csv
     from kerrstokes.config_io import load_config
     from kerrstokes.optimize import optimal_phase_two_sq
-    from kerrstokes.scenario import run
-    from kerrstokes.spectra import CorrelationKernel, StokesIndex, kernel_two_sq, spectrum
+    from kerrstokes.scenario import run, validate
+    from kerrstokes.spectra import StokesIndex, kernel_two_sq, spectrum
 
     warnings.simplefilter("ignore")  # physics warnings are not what is timed
     rows = {}
@@ -100,12 +102,15 @@ def measure_layers(tree: Path) -> dict[str, float]:
         rows[f"load_config {name}"] = per_call(lambda: load_config(path))
         rows[f"run() {name}"] = per_call(lambda: run(config))
     two_sq = results["two_sq"].config
+    rows["validate two_sq"] = per_call(lambda: validate(two_sq))
+    two_sq_s3 = dataclasses.replace(two_sq, stokes_index=StokesIndex.S3)
+    rows["run() two_sq S3"] = per_call(lambda: run(two_sq_s3))
     p1, p2 = two_sq.pulses
     t, omega0 = two_sq.analysis_time, two_sq.omega0
     rows["scan_phase two_sq"] = per_call(lambda: optimal_phase_two_sq(p1, p2, t, omega0))
     rows["kernel build two_sq"] = per_call(lambda: kernel_two_sq(p1, p2, t))
     grid = results["coh_sq"].config.omega_grid.to_array()
-    kern = CorrelationKernel(a_h=-0.4, b_g=0.3, t=0.0, stokes_index=StokesIndex.S2)
+    kern = kernel_two_sq(p1, p2, t)
     rows["spectrum 512 points"] = per_call(lambda: spectrum(kern, grid, 1.0))
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / "spectrum.csv"

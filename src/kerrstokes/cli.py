@@ -205,15 +205,7 @@ def cmd_verify(args) -> int:
         "failed": [c.name for c in report.checks if not c.passed],
         "optimizer_flags": list(report.optimizer_flags),
         "elapsed_seconds": round(report.elapsed_seconds, 3),
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "tolerance": c.tolerance,
-                "detail": c.detail,
-            }
-            for c in report.checks
-        ],
+        "checks": [_fields(c) for c in report.checks],
     }
     text = json.dumps(payload, sort_keys=True, indent=1)
     if args.out:

@@ -156,7 +156,7 @@ def load_config(path) -> ScenarioConfig:
     runs it; library users should too).
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             parser.read_file(handle)
         except configparser.Error as exc:

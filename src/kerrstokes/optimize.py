@@ -12,21 +12,26 @@ single-port kinds coh_sq, two_sq and xpm share one optimizer body; only
 coh_sq keeps a closed form of its own (see :func:`optimal_phase_coh_sq`).
 
 The scan shares only the kernel families of :mod:`kerrstokes.spectra`
-with the rest of the package: each optimizer builds its family once and
+with the rest of the package: each optimizer builds its family for the
+Stokes component it is asked for (``index``, or ``which`` for S0/S1) and
 scans ``family(anchor.phi_lin +/- delta_phi)``, the free pulse's linear
 phase under the offset convention below, so the interference angle is
 computed where the kernel builders compute it.  The coarse pass evaluates
 the family once on an ndarray of all offsets; no pulse is rebuilt inside
-a scan.
+a scan.  S3 advances the S2 interference angle by pi/2, so the S3 closed
+form is the S2 one with the offset moved by pi/2, signed by the offset
+convention.  S0/S1 of the single-port family, a pulse pair without Kerr
+noise and L(Omega0) = 1 / (1 + Omega0^2) = 0 each make S = 1 at every
+offset: the optimum is "degenerate".
 
 Phase-offset conventions (also encoded in the ``offset_*`` helpers):
 
 * single-port scenarios (coh_sq, two_sq, xpm):
-      delta_phi = phi_lin2 - phi_lin1
+      delta_phi = phi_lin2 - phi_lin1 (S3: the S2 offset + pi/2)
 * beam-splitter S0/S1:
       delta_phi = phi_lin1 - phi_lin2
 * beam-splitter S2/S3 (probe phase):
-      delta_phi = phi_lin2 - phi_lin3
+      delta_phi = phi_lin2 - phi_lin3 (S3: the S2 offset - pi/2)
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .errors import ScenarioContractError
 from .kernel import lorentzian
 from .pulse import PulseSpec
 from .spectra import (
+    HALF_PI,
     StokesIndex,
     _single_port_scalars,
     bs_s01_family,
@@ -223,35 +229,38 @@ def _degenerate(coefficients, omega0: float) -> PhaseOptimum:
 
 
 def _optimal_single_port(
-    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float,
+    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, index: StokesIndex,
     include_xpm: bool, coherent: bool = False,
 ) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 of the single-port family.
 
     With imbalance D = nbar1 phi2 - nbar2 phi1 and g-kernel weight
     Sigma_x = nbar1 (phi2^2 + phix2^2) + nbar2 (phi1^2 + phix1^2), the
-    cross phases phix being 0 unless ``include_xpm`` is set:
+    cross phases phix being 0 unless ``include_xpm`` is set, the S2 optimum is
 
         delta_phi_opt = arctan(D / (L0 Sigma_x)) / 2
                         + phi1 - phi2 - phix1 + phix2
         s_min = 1 + 2 Sigma_x L0^2 - 2 L0 sqrt(D^2 + L0^2 Sigma_x^2)
 
-    A ``coherent`` pulse 1 (coh_sq) uses the special case of
-    :func:`optimal_phase_coh_sq` instead.
+    and the S3 one is delta_phi_opt + pi/2 with the same s_min.  S0 and S1
+    are conserved, so their optimum is degenerate.  A ``coherent`` pulse 1
+    (coh_sq) uses the special case of :func:`optimal_phase_coh_sq` instead.
     """
     _check_omega0(omega0)
-    family = single_port_family(p1, p2, t, StokesIndex.S2, include_xpm)
+    family = single_port_family(p1, p2, t, index, include_xpm)
 
     def coefficients(delta_phi):  # pulse 2 at offset_partner_phase(p1, p2, delta_phi)
         return family(p1.phi_lin + delta_phi)
 
+    if index in (StokesIndex.S0, StokesIndex.S1):
+        return _degenerate(coefficients, omega0)
     # numpy scalars, so that the closed form overflows to inf (see _assemble)
     n1, n2, phi1, phi2, phix1, phix2 = map(np.float64, _single_port_scalars(p1, p2, t, include_xpm))
     imbalance = n1 * phi2 - n2 * phi1
     weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
-    if (n1 * phi2 if coherent else weight) == 0.0:
-        return _degenerate(coefficients, omega0)
     lor0 = lorentzian(omega0)
+    if lor0 == 0.0 or (n1 * phi2 if coherent else weight) == 0.0:
+        return _degenerate(coefficients, omega0)
     if coherent:  # the general form would move s_min by one ulp
         delta_phi = 0.5 * math.atan(1.0 / (lor0 * phi2)) - phi2
         s_closed = (
@@ -266,33 +275,42 @@ def _optimal_single_port(
             + 2.0 * weight * lor0**2
             - 2.0 * lor0 * math.sqrt(imbalance**2 + (lor0 * weight) ** 2)
         )
+    if index is StokesIndex.S3:  # theta = ... - phi_lin2 + pi/2: phi_lin2 moves up by pi/2
+        delta_phi = delta_phi + HALF_PI
     return _assemble(delta_phi, s_closed, coefficients, omega0)
 
 
-def optimal_phase_coh_sq(p1: PulseSpec, p2: PulseSpec, t: float, omega0: float) -> PhaseOptimum:
+def optimal_phase_coh_sq(
+    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, index: StokesIndex = StokesIndex.S2
+) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 for the coherent + Kerr-squeezed scenario.
 
-    Closed form: delta_phi_opt = arctan(1 / (L0 phi2)) / 2 - phi2, reaching
+    S2 closed form: delta_phi_opt = arctan(1 / (L0 phi2)) / 2 - phi2, reaching
 
         s_min = 1 + 2 nbar1 phi2^2 L0^2
-                  - 2 nbar1 phi2 L0 sqrt(1 + phi2^2 L0^2).
+                  - 2 nbar1 phi2 L0 sqrt(1 + phi2^2 L0^2);
 
-    With phi2 = 0 the pulse pair carries no Kerr noise at all and the
-    spectrum is identically 1 (degenerate optimum).
+    for S3 delta_phi_opt is pi/2 larger.  With phi2 = 0 the pulse pair
+    carries no Kerr noise at all and the spectrum is identically 1
+    (degenerate optimum), as it is for S0, S1 and L0 = 0.
     """
     _require_coherent(p1, "pulse 1")
-    return _optimal_single_port(p1, p2, t, omega0, include_xpm=False, coherent=True)
+    return _optimal_single_port(p1, p2, t, omega0, index, include_xpm=False, coherent=True)
 
 
-def optimal_phase_two_sq(p1: PulseSpec, p2: PulseSpec, t: float, omega0: float) -> PhaseOptimum:
-    """Optimal phi_lin2 - phi_lin1 for two Kerr-squeezed pulses (phix = 0;
-    any gamma_x is ignored)."""
-    return _optimal_single_port(p1, p2, t, omega0, include_xpm=False)
+def optimal_phase_two_sq(
+    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, index: StokesIndex = StokesIndex.S2
+) -> PhaseOptimum:
+    """Optimal phi_lin2 - phi_lin1 of ``index`` for two Kerr-squeezed pulses
+    (phix = 0; any gamma_x is ignored)."""
+    return _optimal_single_port(p1, p2, t, omega0, index, include_xpm=False)
 
 
-def optimal_phase_xpm(p1: PulseSpec, p2: PulseSpec, t: float, omega0: float) -> PhaseOptimum:
-    """Optimal phi_lin2 - phi_lin1 with SPM and mutual XPM."""
-    return _optimal_single_port(p1, p2, t, omega0, include_xpm=True)
+def optimal_phase_xpm(
+    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, index: StokesIndex = StokesIndex.S2
+) -> PhaseOptimum:
+    """Optimal phi_lin2 - phi_lin1 of ``index`` with SPM and mutual XPM."""
+    return _optimal_single_port(p1, p2, t, omega0, index, include_xpm=True)
 
 
 def _bs_contract_issues(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex) -> list[str]:
@@ -344,9 +362,10 @@ def optimal_phase_bs_s01(
         delta_phi_opt = arccos(C) - phi1 + phi2
         s_min = 1 - (R nbar1 +/- T nbar2)^2 / (nbar1 + nbar2)
 
-    independent of L0.  When |C| > 1 the vertex is outside the physical
+    independent of L0 > 0.  When |C| > 1 the vertex is outside the physical
     range of the cosine; the result is flagged "arccos-domain",
-    delta_phi_opt is nan and the scan values are authoritative.
+    delta_phi_opt is nan and the scan values are authoritative.  L0 = 0
+    makes S = 1 at every offset (degenerate optimum).
     """
     family = bs_s01_family(p1, p2, bs, t, which)
     _check_omega0(omega0)
@@ -364,11 +383,11 @@ def optimal_phase_bs_s01(
     )
     sign = 1.0 if which is StokesIndex.S0 else -1.0
     weight = n1 * phi2**2 + n2 * phi1**2
-    if bs.r * bs.t == 0.0 or weight == 0.0:
+    lor0 = lorentzian(omega0)
+    if lor0 == 0.0 or bs.r * bs.t == 0.0 or weight == 0.0:
         return _degenerate(coefficients, omega0)
 
     numerator = bs.r * n1 + sign * bs.t * n2
-    lor0 = lorentzian(omega0)
     vertex_cos = (
         numerator
         / (2.0 * (n1 + n2) * phi1 * lor0)
@@ -382,13 +401,14 @@ def optimal_phase_bs_s01(
 
 
 def optimal_phase_bs_s2(
-    p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float, omega0: float
+    p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float, omega0: float,
+    index: StokesIndex = StokesIndex.S2,
 ) -> PhaseOptimum:
-    """Optimal probe offset phi_lin2 - phi_lin3 for S2 after the beam splitter.
+    """Optimal probe offset phi_lin2 - phi_lin3 for S2 or S3 after the beam splitter.
 
     Contract: both Kerr pulses carry the same SPM phase phi and their
     linear phases are locked in quadrature, phi_lin1 - phi_lin2 = pi/2.
-    The stationarity condition cos(2 [phi + delta_phi]) =
+    For S2 the stationarity condition cos(2 [phi + delta_phi]) =
     (R - T) phi L0 sin(2 [phi + delta_phi]) gives
 
         delta_phi_opt = arctan(1 / ((R - T) phi L0)) / 2 - phi
@@ -396,12 +416,14 @@ def optimal_phase_bs_s2(
         s_min = 1 + 2 nbar3 phi^2 L0^2
                   - 2 nbar3 phi L0 sqrt(1 + (R - T)^2 phi^2 L0^2)
 
-    The scan runs on the same kernel and is authoritative whenever it finds
-    a deeper minimum (flagged, see PhaseOptimum).
+    and for S3 delta_phi_opt is pi/2 smaller.  L0 = 0 or a probe without
+    Kerr noise gives a degenerate optimum.  The scan runs on the kernel of
+    ``index`` and is authoritative whenever it finds a deeper minimum
+    (flagged, see PhaseOptimum).
     """
-    family = bs_s2_family(p1, p2, p3, bs, t, StokesIndex.S2)
+    family = bs_s2_family(p1, p2, p3, bs, t, index)
     _check_omega0(omega0)
-    problems = _bs_contract_issues(p1, p2, t, StokesIndex.S2)
+    problems = _bs_contract_issues(p1, p2, t, index)
     if problems:
         raise ScenarioContractError(problems[0])
 
@@ -411,9 +433,9 @@ def optimal_phase_bs_s2(
     # numpy scalars, so that the closed form overflows to inf (see _assemble)
     n3, phi1, phi2 = map(np.float64, (p3.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)))
     phi = phi1
-    if n3 * phi == 0.0:
-        return _degenerate(coefficients, omega0)
     lor0 = lorentzian(omega0)
+    if lor0 == 0.0 or n3 * phi == 0.0:
+        return _degenerate(coefficients, omega0)
     rt_diff = bs.r - bs.t
     if rt_diff == 0.0:
         delta_phi = 0.25 * math.pi - phi
@@ -424,4 +446,6 @@ def optimal_phase_bs_s2(
         + 2.0 * n3 * phi**2 * lor0**2
         - 2.0 * n3 * phi * lor0 * math.sqrt(1.0 + rt_diff**2 * phi**2 * lor0**2)
     )
+    if index is StokesIndex.S3:  # psi = ... - phi_lin3 + pi/2: phi_lin3 moves up by pi/2
+        delta_phi = delta_phi - HALF_PI
     return _assemble(delta_phi, s_closed, coefficients, omega0)

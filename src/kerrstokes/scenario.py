@@ -20,7 +20,7 @@ import enum
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .kernel import RelaxationKernel
 from .optimize import (
     PhaseOptimum,
     _bs_contract_issues,
-    _degenerate,
     offset_bs_input_phase,
     offset_bs_probe_phase,
     offset_partner_phase,
@@ -38,7 +37,7 @@ from .optimize import (
     optimal_phase_bs_s2,
 )
 from .pulse import GAMMA_WEAK_LIMIT, PulseSpec
-from .spectra import HALF_PI, SpectrumSeries, StokesIndex, kernel_bs_s01, kernel_bs_s2, spectrum
+from .spectra import SpectrumSeries, StokesIndex, kernel_bs_s01, kernel_bs_s2, spectrum
 from .stokes import BS_UNITARITY_TOL, StokesSummary, averages_bs
 
 __all__ = [
@@ -302,21 +301,6 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     return config
 
 
-def _shift_optimum(opt: PhaseOptimum, shift: float) -> PhaseOptimum:
-    """Translate an optimum along the phase axis (S2 <-> S3 duality).
-
-    Advancing every interference angle by pi/2 turns the S2 kernel family
-    into the S3 one, so the S3 optimum is the S2 optimum with the offset
-    shifted; the minimum values coincide.
-    """
-    moved = opt.delta_phi_opt + shift if math.isfinite(opt.delta_phi_opt) else opt.delta_phi_opt
-    return replace(
-        opt,
-        delta_phi_opt=moved,
-        delta_phi_numeric=(opt.delta_phi_numeric + shift) % (2.0 * math.pi),
-    )
-
-
 def _photon_number(index: StokesIndex) -> bool:
     return index in (StokesIndex.S0, StokesIndex.S1)
 
@@ -340,21 +324,10 @@ def _single_port(kind: ScenarioKind, coherent=()) -> _Kind:
     Its builders are the public ``spectra.kernel_<kind>``,
     ``stokes.averages_<kind>`` and ``optimize.optimal_phase_<kind>``, looked
     up when called, so tools that rebind module attributes (profilers,
-    mocks) see every call.  S0 and S1 are conserved (degenerate optimum);
-    the S3 optimum is the S2 one advanced by pi/2.
+    mocks) see every call.  Each is handed the configured Stokes component
+    where it takes one; the optimizer then scans that component's kernel.
     """
     name = kind.value
-
-    def optimum(config, t):
-        p = config.pulses
-        if _photon_number(config.stokes_index):
-            flat = spectra.single_port_family(
-                p[0], p[1], t, config.stokes_index, kind is ScenarioKind.XPM
-            )
-            return _degenerate(lambda delta_phi: flat(p[0].phi_lin + delta_phi), config.omega0)
-        base = getattr(optimize, f"optimal_phase_{name}")(p[0], p[1], t, config.omega0)
-        return _shift_optimum(base, HALF_PI) if config.stokes_index is StokesIndex.S3 else base
-
     return _Kind(
         pulse_count=2,
         coherent=coherent,
@@ -365,7 +338,9 @@ def _single_port(kind: ScenarioKind, coherent=()) -> _Kind:
         apply_offset=lambda config, p, delta_phi: (
             p[0], offset_partner_phase(p[0], p[1], delta_phi)
         ),
-        optimum=optimum,
+        optimum=lambda config, t: getattr(optimize, f"optimal_phase_{name}")(
+            config.pulses[0], config.pulses[1], t, config.omega0, config.stokes_index
+        ),
         reference=lambda config, t: config.pulses[0].mean_photons(t),
     )
 
@@ -386,8 +361,7 @@ def _bs_optimum(config, t):
     p, bs, index = config.pulses, config.beamsplitter, config.stokes_index
     if _photon_number(index):
         return optimal_phase_bs_s01(p[0], p[1], bs, t, config.omega0, which=index)
-    base = optimal_phase_bs_s2(p[0], p[1], p[2], bs, t, config.omega0)
-    return _shift_optimum(base, -HALF_PI) if index is StokesIndex.S3 else base
+    return optimal_phase_bs_s2(p[0], p[1], p[2], bs, t, config.omega0, index)
 
 
 def _bs_reference(config, t):

@@ -77,21 +77,17 @@ class CorrelationKernel:
 
     a_h: float
     b_g: float
-    t: float
-    stokes_index: StokesIndex
 
     def __post_init__(self):
-        for name in ("a_h", "b_g", "t"):
+        for name in ("a_h", "b_g"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if not isinstance(self.stokes_index, StokesIndex):
-            raise ValueError(f"stokes_index must be a StokesIndex, got {self.stokes_index!r}")
 
 
-def _kernel(family, phi_free, t: float, index: StokesIndex) -> CorrelationKernel:
+def _kernel(family, phi_free) -> CorrelationKernel:
     a_h, b_g = family(phi_free)
-    return CorrelationKernel(float(a_h), float(b_g), t, index)
+    return CorrelationKernel(float(a_h), float(b_g))
 
 
 def _square(x):
@@ -234,14 +230,14 @@ def kernel_coh_sq(
     """Coherent pulse 1 + Kerr pulse 2: phi1 = 0, so theta = phi_lin1 - Phi2(t),
     a_h = nbar1 phi2 sin(2 theta) and b_g = nbar1 phi2^2 sin(theta)^2."""
     _require_coherent(p1, "pulse 1")
-    return _kernel(single_port_family(p1, p2, t, index, False), p2.phi_lin, t, index)
+    return _kernel(single_port_family(p1, p2, t, index, False), p2.phi_lin)
 
 
 def kernel_two_sq(
     p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
 ) -> CorrelationKernel:
     """Two independently Kerr-propagated pulses (phix = 0, gamma_x is ignored)."""
-    return _kernel(single_port_family(p1, p2, t, index, False), p2.phi_lin, t, index)
+    return _kernel(single_port_family(p1, p2, t, index, False), p2.phi_lin)
 
 
 def kernel_xpm(
@@ -249,21 +245,21 @@ def kernel_xpm(
 ) -> CorrelationKernel:
     """Co-propagating pulses with SPM and mutual XPM: the XPM-shifted theta;
     the cross couplings enter b_g only."""
-    return _kernel(single_port_family(p1, p2, t, index, True), p2.phi_lin, t, index)
+    return _kernel(single_port_family(p1, p2, t, index, True), p2.phi_lin)
 
 
 def kernel_bs_s01(
     p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex = StokesIndex.S0
 ) -> CorrelationKernel:
     """S0 / S1 fluctuations of the beam-splitter scenario (see :func:`bs_s01_family`)."""
-    return _kernel(bs_s01_family(p1, p2, bs, t, which), p1.phi_lin, t, which)
+    return _kernel(bs_s01_family(p1, p2, bs, t, which), p1.phi_lin)
 
 
 def kernel_bs_s2(
     p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float, index: StokesIndex = StokesIndex.S2
 ) -> CorrelationKernel:
     """S2 / S3 fluctuations of the beam-splitter scenario (see :func:`bs_s2_family`)."""
-    return _kernel(bs_s2_family(p1, p2, p3, bs, t, index), p3.phi_lin, t, index)
+    return _kernel(bs_s2_family(p1, p2, p3, bs, t, index), p3.phi_lin)
 
 
 def spectrum_from_coefficients(a_h, b_g, omega):

@@ -88,7 +88,7 @@ def _check_fourier_pairs(col: _Collector, tau_r_mismatch: float):
             ("h", (1.0, 0.0), fourier_h_closed),
             ("g", (0.0, 1.0), fourier_g_closed),
         ):
-            kern = CorrelationKernel(coeffs[0], coeffs[1], 0.0, StokesIndex.S2)
+            kern = CorrelationKernel(coeffs[0], coeffs[1])
             worst = 0.0
             for omega in omegas:
                 numeric = wk_numeric(kern, relax, float(omega) * tau_r_mismatch)
@@ -104,9 +104,9 @@ def _check_fourier_pairs(col: _Collector, tau_r_mismatch: float):
 def _check_quadrature_basics(col: _Collector):
     relax = RelaxationKernel(1.0)
     cases = (
-        ("quadrature-pure-h-dc", CorrelationKernel(1.0, 0.0, 0.0, StokesIndex.S2), 0.0, 3.0),
-        ("quadrature-pure-g-unit", CorrelationKernel(0.0, 1.0, 0.0, StokesIndex.S2), 1.0, 2.0),
-        ("quadrature-flat-kernel", CorrelationKernel(0.0, 0.0, 0.0, StokesIndex.S2), 2.5, 1.0),
+        ("quadrature-pure-h-dc", CorrelationKernel(1.0, 0.0), 0.0, 3.0),
+        ("quadrature-pure-g-unit", CorrelationKernel(0.0, 1.0), 1.0, 2.0),
+        ("quadrature-flat-kernel", CorrelationKernel(0.0, 0.0), 2.5, 1.0),
     )
     for name, kern, omega, expected in cases:
         value = wk_numeric(kern, relax, omega)
@@ -117,7 +117,7 @@ def _check_quadrature_basics(col: _Collector):
             f"S({omega:g}) = {value!r}, expected {expected:g}",
         )
 
-    kern = CorrelationKernel(0.7, 1.3, 0.0, StokesIndex.S2)
+    kern = CorrelationKernel(0.7, 1.3)
     base = wk_numeric(kern, relax, 2.0)
     fine = wk_numeric(kern, relax, 2.0, points=40001)
     drift = abs(fine - base)
@@ -132,9 +132,7 @@ def _check_quadrature_basics(col: _Collector):
 def _check_wk_random(col: _Collector, rng):
     worst = 0.0
     for _ in range(SWEEP_DRAWS):
-        kern = CorrelationKernel(
-            float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, 3.0)), 0.0, StokesIndex.S2
-        )
+        kern = CorrelationKernel(float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, 3.0)))
         relax = RelaxationKernel(float(rng.uniform(0.5, 2.0)))
         omega = float(rng.uniform(0.0, 5.0))
         worst = max(worst, abs(wk_numeric(kern, relax, omega) - spectrum_value(kern, omega)))
@@ -574,7 +572,7 @@ def _check_dop_bounded(col: _Collector, rng):
 
 
 def _check_vector_scalar_consistency(col: _Collector):
-    kern = CorrelationKernel(-0.37, 0.81, 0.0, StokesIndex.S2)
+    kern = CorrelationKernel(-0.37, 0.81)
     grid = np.linspace(0.0, 5.0, 257)
     series = spectrum(kern, grid, reference_intensity=2.0)
     scalars = np.array([spectrum_value(kern, float(om)) for om in grid])
@@ -589,7 +587,7 @@ def _check_vector_scalar_consistency(col: _Collector):
 
 def _check_api_guards(col: _Collector):
     ok = True
-    flat = CorrelationKernel(0.0, 0.0, 0.0, StokesIndex.S2)
+    flat = CorrelationKernel(0.0, 0.0)
     for call in (
         lambda: scan_phase(lambda d: (0.0, 0.0), -1.0),
         lambda: wk_numeric(flat, RelaxationKernel(1.0), 1.0, points=4002),

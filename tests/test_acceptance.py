@@ -94,8 +94,8 @@ def figure_families():
 def test_criterion_01_fourier_pair_identities():
     """Quadrature of h and g matches 2L and 4L^2 within 1e-6, under 5 s."""
     started = time.perf_counter()
-    pure_h = CorrelationKernel(1.0, 0.0, 0.0, StokesIndex.S2)
-    pure_g = CorrelationKernel(0.0, 1.0, 0.0, StokesIndex.S2)
+    pure_h = CorrelationKernel(1.0, 0.0)
+    pure_g = CorrelationKernel(0.0, 1.0)
     worst = 0.0
     for tau_r in (0.5, 1.0, 2.0):
         relax = RelaxationKernel(tau_r)

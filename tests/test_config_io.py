@@ -169,6 +169,14 @@ def test_unknown_kind_lists_choices(tmp_path):
     assert "coh_sq" in issue.message
 
 
+def test_byte_order_mark_is_ignored(tmp_path):
+    """A UTF-8 byte-order mark, as some editors save it, is not config text."""
+    plain = Path(__file__).resolve().parent.parent / "configs" / "coh_sq.ini"
+    marked = tmp_path / "coh_sq_bom.ini"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_config(marked) == load_config(plain)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "nope.ini")

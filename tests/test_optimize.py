@@ -214,3 +214,68 @@ def test_offset_helpers_encode_conventions():
     assert offset_partner_phase(a, b, 0.5).phi_lin == pytest.approx(0.7)
     assert offset_bs_input_phase(a, b, 0.5).phi_lin == pytest.approx(-0.4)
     assert offset_bs_probe_phase(a, b, 0.5).phi_lin == pytest.approx(-0.3)
+
+
+@pytest.mark.parametrize(
+    "optimizer", [optimal_phase_coh_sq, optimal_phase_two_sq, optimal_phase_xpm],
+    ids=["coh_sq", "two_sq", "xpm"],
+)
+@pytest.mark.parametrize("index", [StokesIndex.S0, StokesIndex.S1], ids=["S0", "S1"])
+def test_conserved_single_port_components_are_degenerate(optimizer, index):
+    opt = optimizer(COHERENT_UNIT, KERR_UNIT_PHI, 0.0, 0.7, index)
+    assert opt.flags == ("degenerate",)
+    assert math.isnan(opt.delta_phi_opt)
+    assert opt.s_min_closed == 1.0 and opt.s_min_numeric == 1.0
+
+
+def _quarter_turn_cases():
+    """(optimizer call at a Stokes index, S3 - S2 closed-form offset)."""
+    kerr1 = PulseSpec(n0=40.0, gamma=0.01, gamma_x=0.003, phi_lin=0.4)
+    kerr2 = PulseSpec(n0=90.0, gamma=0.004, gamma_x=0.002, phi_lin=2.2)
+    p1, p2 = TestBeamSplitterS2().locked()
+    probe = PulseSpec(n0=70.0, phi_lin=1.3)
+    half_pi = 0.5 * math.pi
+    return [
+        (lambda index: optimal_phase_coh_sq(COHERENT_UNIT, kerr2, 0.1, 0.6, index), half_pi),
+        (lambda index: optimal_phase_two_sq(kerr1, kerr2, 0.1, 0.6, index), half_pi),
+        (lambda index: optimal_phase_xpm(kerr1, kerr2, 0.1, 0.6, index), half_pi),
+        (lambda index: optimal_phase_bs_s2(
+            p1, p2, probe, BeamSplitter(0.5, 0.5), 0.0, 0.6, index), -half_pi),
+        (lambda index: optimal_phase_bs_s2(
+            p1, p2, probe, BeamSplitter(0.3, 0.7), 0.0, 0.6, index), -half_pi),
+    ]
+
+
+@pytest.mark.parametrize(
+    "optimum_at, shift", _quarter_turn_cases(),
+    ids=["coh_sq", "two_sq", "xpm", "bs_s2_balanced", "bs_s2_unbalanced"],
+)
+def test_s3_closed_optimum_is_the_s2_one_a_quarter_turn_away(optimum_at, shift):
+    """The S3 kernel is the S2 kernel with its angle advanced by pi/2; its
+    optimum is the S2 one with the offset moved by +/- pi/2, exactly, while
+    the scan evaluates the S3 kernel itself and must agree with it."""
+    s2, s3 = optimum_at(StokesIndex.S2), optimum_at(StokesIndex.S3)
+    assert s3.delta_phi_opt == s2.delta_phi_opt + shift
+    assert s3.s_min_closed == s2.s_min_closed
+    assert s3.s_min_numeric == pytest.approx(s2.s_min_numeric, abs=AGREEMENT_TOL)
+    assert s3.s_min_numeric <= s3.s_min_closed + AGREEMENT_TOL
+
+
+def test_vanishing_lorentzian_is_degenerate_for_every_optimizer():
+    """Omega0 = 1e200 makes L(Omega0) = 1 / (1 + Omega0^2) exactly 0, so S = 1
+    at every offset: no closed phase, whatever the pulses."""
+    omega0 = 1e200
+    twin = PulseSpec(n0=50.0, gamma=0.004, gamma_x=0.002)  # balanced: nbar1 phi2 == nbar2 phi1
+    p1, p2 = TestBeamSplitterS2().locked()
+    half = BeamSplitter(0.5, 0.5)
+    optima = [
+        optimal_phase_coh_sq(COHERENT_UNIT, KERR_UNIT_PHI, 0.0, omega0),
+        optimal_phase_two_sq(twin, KERR_UNIT_PHI, 0.0, omega0),
+        optimal_phase_xpm(twin, twin, 0.0, omega0),
+        optimal_phase_bs_s01(twin, twin, half, 0.0, omega0),
+        optimal_phase_bs_s2(p1, p2, TestBeamSplitterS2.P3, half, 0.0, omega0),
+    ]
+    for opt in optima:
+        assert opt.flags == ("degenerate",)
+        assert math.isnan(opt.delta_phi_opt)
+        assert opt.s_min_closed == 1.0 and opt.s_min_numeric == 1.0

@@ -14,14 +14,14 @@ from kerrstokes.errors import ScenarioContractError
 from kerrstokes.kernel import RelaxationKernel, fourier_g_closed, fourier_h_closed
 from kerrstokes.oracle import QUADRATURE_POINTS, _simpson, mc_coherent_phasor, wk_numeric
 from kerrstokes.pulse import PulseSpec
-from kerrstokes.spectra import CorrelationKernel, StokesIndex
+from kerrstokes.spectra import CorrelationKernel
 from kerrstokes.stokes import averages_coh_sq
 
 RELAX = RelaxationKernel(1.0)
 
 
 def make_kernel(a_h, b_g):
-    return CorrelationKernel(a_h=a_h, b_g=b_g, t=0.0, stokes_index=StokesIndex.S2)
+    return CorrelationKernel(a_h=a_h, b_g=b_g)
 
 
 class TestQuadraturePoints:

@@ -6,7 +6,9 @@ pulse with ``dataclasses.replace``, evaluates the kernel formulas with
 smaller S; golden-section refinement follows with the same algorithm and
 tolerances as ``optimize``.  The oracle calls none of the package's kernel
 builders or kernel families, so the tests pin the arithmetic of the
-array path, not only its agreement to a tolerance.
+array path, not only its agreement to a tolerance.  The S2/S3 optimizers
+are checked at both components: the S3 oracle advances its scalar angles
+by pi/2, so the S3 scan must evaluate the S3 kernel, not a shifted S2 one.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from kerrstokes.scenario import BeamSplitter, OmegaGrid, ScenarioConfig, Scenari
 from kerrstokes.spectra import StokesIndex, bs_s01_family, bs_s2_family, single_port_family
 
 TWO_PI = 2.0 * math.pi
+S23 = (StokesIndex.S2, StokesIndex.S3)
 INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 DRAWS = 12
 
@@ -47,27 +50,32 @@ def _total(p, t, include_xpm=False):
     return p.spm_phase(t) + p.phi_lin
 
 
+def _turn(angle, index):
+    """The S3 interference angle is the S2 one advanced by pi/2."""
+    return angle + 0.5 * math.pi if index is StokesIndex.S3 else angle
+
+
 def _single_port(theta, n1, n2, phi1, phi2, phix1, phix2):
     a_h = (n1 * phi2 - n2 * phi1) * math.sin(2.0 * theta)
     b_g = (n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)) * math.sin(theta) ** 2
     return a_h, b_g
 
 
-def old_coh_sq(p1, p2, t):
-    theta = p1.phi_lin - _total(p2, t)
+def old_coh_sq(p1, p2, t, index=StokesIndex.S2):
+    theta = _turn(p1.phi_lin - _total(p2, t), index)
     n1 = p1.mean_photons(t)
     phi2 = p2.spm_phase(t)
     return n1 * phi2 * math.sin(2.0 * theta), n1 * phi2**2 * math.sin(theta) ** 2
 
 
-def old_two_sq(p1, p2, t):
-    theta = _total(p1, t) - _total(p2, t)
+def old_two_sq(p1, p2, t, index=StokesIndex.S2):
+    theta = _turn(_total(p1, t) - _total(p2, t), index)
     n1, n2 = p1.mean_photons(t), p2.mean_photons(t)
     return _single_port(theta, n1, n2, p1.spm_phase(t), p2.spm_phase(t), 0.0, 0.0)
 
 
-def old_xpm(p1, p2, t):
-    theta = _total(p1, t, True) - _total(p2, t, True)
+def old_xpm(p1, p2, t, index=StokesIndex.S2):
+    theta = _turn(_total(p1, t, True) - _total(p2, t, True), index)
     n1, n2 = p1.mean_photons(t), p2.mean_photons(t)
     return _single_port(
         theta, n1, n2, p1.spm_phase(t), p2.spm_phase(t), p1.xpm_phase(t), p2.xpm_phase(t)
@@ -99,10 +107,10 @@ def old_bs_s01(p1, p2, bs, t, which):
     )
 
 
-def old_bs_s2(p1, p2, p3, bs, t):
+def old_bs_s2(p1, p2, p3, bs, t, index=StokesIndex.S2):
     return _bs_s2(
-        _total(p1, t) - p3.phi_lin, _total(p2, t) - p3.phi_lin, p3.mean_photons(t),
-        p1.spm_phase(t), p2.spm_phase(t), bs.r, bs.t,
+        _turn(_total(p1, t) - p3.phi_lin, index), _turn(_total(p2, t) - p3.phi_lin, index),
+        p3.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t), bs.r, bs.t,
     )
 
 
@@ -184,23 +192,14 @@ def test_kernel_families_match_scalar_formulas():
     )
     p3 = PulseSpec(n0=_u(rng, 10.0, 300.0), phi_lin=_u(rng, 0.0, TWO_PI))
     bs = BeamSplitter(0.3, 0.7)
-    quarter = 0.5 * math.pi
 
     def single_port(index, x):
         if index in (StokesIndex.S0, StokesIndex.S1):
             return 0.0, 0.0
-        theta = _total(p1, t, True) - _total(replace(p2, phi_lin=x), t, True)
-        if index is StokesIndex.S3:
-            theta = theta + quarter
+        theta = _turn(_total(p1, t, True) - _total(replace(p2, phi_lin=x), t, True), index)
         return _single_port(
             theta, p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t),
             p1.xpm_phase(t), p2.xpm_phase(t),
-        )
-
-    def bs_s3(x):
-        return _bs_s2(
-            (_total(p1, t) - x) + quarter, (_total(p2, t) - x) + quarter, p3.mean_photons(t),
-            p1.spm_phase(t), p2.spm_phase(t), bs.r, bs.t,
         )
 
     cases = [
@@ -211,9 +210,9 @@ def test_kernel_families_match_scalar_formulas():
          lambda x, w=which: old_bs_s01(replace(p1, phi_lin=x), p2, bs, t, w))
         for which in (StokesIndex.S0, StokesIndex.S1)
     ] + [
-        (bs_s2_family(p1, p2, p3, bs, t, StokesIndex.S2),
-         lambda x: old_bs_s2(p1, p2, replace(p3, phi_lin=x), bs, t)),
-        (bs_s2_family(p1, p2, p3, bs, t, StokesIndex.S3), bs_s3),
+        (bs_s2_family(p1, p2, p3, bs, t, index),
+         lambda x, i=index: old_bs_s2(p1, p2, replace(p3, phi_lin=x), bs, t, i))
+        for index in S23
     ]
     for family, formula in cases:
         want = [formula(float(x)) for x in phases]
@@ -251,11 +250,13 @@ def test_coh_sq_scan_matches_oracle(draws):
         gamma = 0.0 if i % 4 == 3 else _u(draws, 0.001, 0.01)  # every fourth is degenerate
         p2 = PulseSpec(n0=_u(draws, 10.0, 200.0), envelope=_envelope(draws), gamma=gamma,
                        phi_lin=_u(draws, 0.0, TWO_PI))
-        opt = optimal_phase_coh_sq(p1, p2, t, _u(draws, 0.0, 3.0))
-        assert ("degenerate" in opt.flags) == (gamma == 0.0)
-        assert_matches_oracle(
-            opt, lambda d: old_coh_sq(p1, replace(p2, phi_lin=p1.phi_lin + d), t)
-        )
+        omega0 = _u(draws, 0.0, 3.0)
+        for index in S23:
+            opt = optimal_phase_coh_sq(p1, p2, t, omega0, index)
+            assert ("degenerate" in opt.flags) == (gamma == 0.0)
+            assert_matches_oracle(
+                opt, lambda d: old_coh_sq(p1, replace(p2, phi_lin=p1.phi_lin + d), t, index)
+            )
 
 
 @pytest.mark.parametrize("kind", ["two_sq", "xpm"])
@@ -278,9 +279,13 @@ def test_two_pulse_scans_match_oracle(kind, draws):
             for _ in range(2)
         ]
         p1, p2 = pulses
-        opt = optimizer(p1, p2, t, _u(draws, 0.0, 3.0))
-        assert ("degenerate" in opt.flags) == degenerate
-        assert_matches_oracle(opt, lambda d: kernel(p1, replace(p2, phi_lin=p1.phi_lin + d), t))
+        omega0 = _u(draws, 0.0, 3.0)
+        for index in S23:
+            opt = optimizer(p1, p2, t, omega0, index)
+            assert ("degenerate" in opt.flags) == degenerate
+            assert_matches_oracle(
+                opt, lambda d: kernel(p1, replace(p2, phi_lin=p1.phi_lin + d), t, index)
+            )
 
 
 @pytest.mark.parametrize("which", [StokesIndex.S0, StokesIndex.S1])
@@ -311,11 +316,14 @@ def test_bs_s2_scan_matches_oracle(draws):
         p1 = PulseSpec(n0=n1, gamma=phi / (2.0 * n1), phi_lin=base + 0.5 * math.pi)
         p2 = PulseSpec(n0=n2, gamma=phi / (2.0 * n2), phi_lin=base)
         p3 = PulseSpec(n0=n3, phi_lin=_u(draws, 0.0, TWO_PI))
-        opt = optimal_phase_bs_s2(p1, p2, p3, bs, 0.0, _u(draws, 0.0, 1.5))
-        assert ("degenerate" in opt.flags) == (n3 == 0.0)
-        assert_matches_oracle(
-            opt, lambda d: old_bs_s2(p1, p2, replace(p3, phi_lin=p2.phi_lin - d), bs, 0.0)
-        )
+        omega0 = _u(draws, 0.0, 1.5)
+        for index in S23:
+            opt = optimal_phase_bs_s2(p1, p2, p3, bs, 0.0, omega0, index)
+            assert ("degenerate" in opt.flags) == (n3 == 0.0)
+            assert_matches_oracle(
+                opt,
+                lambda d: old_bs_s2(p1, p2, replace(p3, phi_lin=p2.phi_lin - d), bs, 0.0, index),
+            )
 
 
 @pytest.mark.parametrize("kind", [ScenarioKind.COH_SQ, ScenarioKind.TWO_SQ, ScenarioKind.XPM])

@@ -93,7 +93,7 @@ def test_bs_s2_scales_with_probe_intensity():
 
 
 def test_spectrum_value_combines_lorentzians():
-    kern = CorrelationKernel(a_h=-0.3, b_g=0.2, t=0.0, stokes_index=StokesIndex.S2)
+    kern = CorrelationKernel(a_h=-0.3, b_g=0.2)
     for omega in (0.0, 0.7, 2.5):
         lor = lorentzian(omega)
         expected = 1.0 + 2.0 * lor * (-0.3) + 4.0 * lor * lor * 0.2
@@ -128,7 +128,7 @@ def test_spectrum_grid_validation():
 def test_spectrum_rejects_non_finite_normalized_values():
     # S - 1 is of order 1, so a denormal reference overflows S* to -inf
     kern = kernel_coh_sq(P1, P2, t=0.0)
-    huge = CorrelationKernel(1e308, 1e308, 0.0, StokesIndex.S2)
+    huge = CorrelationKernel(1e308, 1e308)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="not finite"):
             spectrum(kern, np.array([0.0, 1.0]), reference_intensity=1e-310)
@@ -138,6 +138,6 @@ def test_spectrum_rejects_non_finite_normalized_values():
 
 def test_kernel_rejects_non_finite_coefficients():
     with pytest.raises(ValueError):
-        CorrelationKernel(math.nan, 0.0, 0.0, StokesIndex.S2)
+        CorrelationKernel(math.nan, 0.0)
     with pytest.raises(ValueError):
-        CorrelationKernel(0.0, math.inf, 0.0, StokesIndex.S2)
+        CorrelationKernel(0.0, math.inf)
