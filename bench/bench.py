@@ -15,21 +15,27 @@ rows are measured, each as the minimum of ``REPEATS`` runs:
   ``run()`` (and ``run()`` of the two_sq config switched to S3),
   ``validate``, the phase scan (one ``optimal_phase_two_sq`` call, closed
   form included), the kernel build (``kernel_two_sq``), ``spectrum`` on the
-  default 512-point grid and the CSV write, each timed with ``timeit`` over
+  default 512-point grid, the CSV write and one in-process ``kerrstokes run``
+  export of 10^5 points to CSV and to JSON, each timed with ``timeit`` over
   enough calls to last at least 0.2 s.
 
 Both kinds of runs are interleaved across trees, round by round, so every
-column is measured in the same window on the same host.  Only the standard
-library and numpy are used.
+column is measured in the same window on the same host.  With two or more
+trees the report also gives, per in-process row, the median and range over
+the rounds of each column's time divided by the first column's time in the
+same round.  Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -80,7 +86,7 @@ def measure_layers(tree: Path) -> dict[str, float]:
     each, in this interpreter (kerrstokes imported from PYTHONPATH)."""
     import warnings
 
-    from kerrstokes.cli import _write_spectrum_csv
+    from kerrstokes.cli import _write_spectrum_csv, main
     from kerrstokes.config_io import load_config
     from kerrstokes.optimize import optimal_phase_two_sq
     from kerrstokes.scenario import run, validate
@@ -116,6 +122,16 @@ def measure_layers(tree: Path) -> dict[str, float]:
         out = Path(work) / "spectrum.csv"
         series = results["coh_sq"].spectrum
         rows["csv write 512 points"] = per_call(lambda: _write_spectrum_csv(out, series))
+        for fmt in ("csv", "json"):
+            argv = ["run", "--config", str(tree / "configs" / "coh_sq.ini"), "--grid", "0:5:100000"]
+            argv += ["--format", fmt, "--out", str(Path(work) / f"export.{fmt}")]
+
+            def export(argv=argv):
+                with contextlib.redirect_stdout(io.StringIO()):  # stdout carries this child's JSON
+                    if main(argv) != 0:
+                        raise RuntimeError(f"kerrstokes {' '.join(argv)} failed")
+
+            rows[f"export {fmt} 100000 points"] = per_call(export)
     return rows
 
 
@@ -131,6 +147,23 @@ def _layer_run(tree: Path, label: str) -> dict[str, float]:
 def _keep_min(table: dict[str, dict[str, float]], row: str, label: str, value: float) -> None:
     cell = table.setdefault(row, {})
     cell[label] = min(cell.get(label, value), value)
+
+
+def _ratios(rounds: dict[str, dict[str, list[float]]], labels: list[str]) -> dict:
+    """Row -> label -> median, min and max over the rounds of that column's
+    time over the first column's time in the same round."""
+    base, *others = labels
+    report = {}
+    for row, cell in rounds.items():
+        report[row] = {}
+        for label in others:
+            ratios = [change / parent for change, parent in zip(cell[label], cell[base])]
+            report[row][label] = {
+                "median": round(statistics.median(ratios), 3),
+                "min": round(min(ratios), 3),
+                "max": round(max(ratios), 3),
+            }
+    return report
 
 
 def _rounded(table: dict[str, dict[str, float]], digits: int) -> dict[str, dict[str, float]]:
@@ -162,6 +195,7 @@ def main(argv=None) -> int:
     wall: dict[str, dict[str, float]] = {}
     rss: dict[str, dict[str, float]] = {}
     layers: dict[str, dict[str, float]] = {}
+    layer_rounds: dict[str, dict[str, list[float]]] = {}
     with tempfile.TemporaryDirectory() as scratch:
         for _ in range(REPEATS):
             for label, tree in trees.items():
@@ -173,6 +207,7 @@ def main(argv=None) -> int:
                     _keep_min(rss, row, label, peak)
                 for row, seconds in _layer_run(tree, label).items():
                     _keep_min(layers, row, label, seconds)
+                    layer_rounds.setdefault(row, {}).setdefault(label, []).append(seconds)
 
     import numpy
 
@@ -184,6 +219,7 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         },
         "cold_wall_s": _rounded(wall, 4),
         "cold_peak_rss_mb": _rounded(rss, 1),
@@ -196,6 +232,9 @@ def main(argv=None) -> int:
             for row, cell in layers.items()
         },
     }
+    if len(trees) > 1:
+        first = next(iter(trees))
+        report[f"in_process_per_round_ratio_to_{first}"] = _ratios(layer_rounds, list(trees))
     text = json.dumps(report, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="ascii")

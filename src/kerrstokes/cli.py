@@ -10,8 +10,14 @@ Three subcommands::
 Exit codes: 0 success, 1 config parse error, 2 validation / contract error,
 3 I/O error, 4 verification failure.  Errors are emitted as one JSON object
 on stderr (``{"error": {"code": ..., "issues": [...]}}``); regular results
-go to stdout as JSON.  CSV files carry the header ``omega,s_value,s_star``
-and 17-significant-digit values, so reruns are byte-identical.
+go to stdout as JSON.
+
+Spectrum files are written chunk by chunk, each float converted by a C-level
+``map``: a CSV field is ``"%.17g" % x`` under the header
+``omega,s_value,s_star``, and a JSON spectrum item is ``repr(x)``, which is
+what ``json.dump(document, sort_keys=True, indent=1)`` writes for a finite
+float.  Reruns are byte-identical, and ``tests/golden_digests.json`` pins
+the bytes of every figure CSV and of ``run`` on each example config.
 """
 
 from __future__ import annotations
@@ -77,11 +83,55 @@ def _run_payload(result, **extra):
     }
 
 
+# Grid points converted to text per write: each chunk is one large write, and
+# only one chunk's text and Python floats are alive at a time.
+_CHUNK = 1 << 14
+_CSV_ROW = "%.17g,%.17g,%.17g\n"
+# json.dumps(..., indent=1) places a spectrum column's items at depth 3.
+_JSON_ITEM_SEP = ",\n   "
+# A string no other field of the document can hold: it marks where a column goes.
+_COLUMN_SLOT = "\x00column"
+
+
+def _chunks(*columns):
+    """Aligned slices of ``columns`` as lists of Python floats, _CHUNK points each."""
+    for start in range(0, columns[0].size, _CHUNK):
+        yield [column[start : start + _CHUNK].tolist() for column in columns]
+
+
 def _write_spectrum_csv(path: Path, series) -> None:
-    rows = zip(series.omega.tolist(), series.values.tolist(), series.normalized.tolist())
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("omega,s_value,s_star\n")
-        handle.writelines(f"{omega:.17g},{value:.17g},{star:.17g}\n" for omega, value, star in rows)
+        for rows in _chunks(series.omega, series.values, series.normalized):
+            handle.write("".join(map(_CSV_ROW.__mod__, zip(*rows))))
+
+
+def _write_spectrum_json(path: Path, document: dict, series) -> None:
+    """Write ``json.dump({**document, "spectrum": columns}, sort_keys=True,
+    indent=1)`` and a newline, column by column.
+
+    ``json.dumps`` writes the small document with a placeholder per column;
+    each column is spliced in, in sorted-key order, as its floats'
+    ``float.__repr__`` joined the way json's indenting encoder joins list
+    items.  That encoder formats a finite float with ``float.__repr__`` too,
+    and ``spectrum()`` rejects non-finite values, so the bytes are json's.
+    """
+    columns = {"omega": series.omega, "s_star": series.normalized, "s_value": series.values}
+    skeleton = json.dumps(
+        {**document, "spectrum": dict.fromkeys(columns, _COLUMN_SLOT)}, sort_keys=True, indent=1
+    )
+    head, *tails = skeleton.split(json.dumps(_COLUMN_SLOT))
+    with open(path, "w", encoding="ascii", newline="\n") as handle:
+        handle.write(head)
+        for name, tail in zip(sorted(columns), tails):
+            separator = "[\n   "
+            for (values,) in _chunks(columns[name]):
+                handle.write(separator)
+                handle.write(_JSON_ITEM_SEP.join(map(float.__repr__, values)))
+                separator = _JSON_ITEM_SEP
+            handle.write("\n  ]")
+            handle.write(tail)
+        handle.write("\n")
 
 
 def _parse_grid_flag(text: str) -> OmegaGrid:
@@ -136,17 +186,7 @@ def cmd_run(args) -> int:
         if args.format == "csv":
             _write_spectrum_csv(out, series)
         else:
-            document = _run_payload(
-                result,
-                spectrum={
-                    "omega": series.omega.tolist(),
-                    "s_value": series.values.tolist(),
-                    "s_star": series.normalized.tolist(),
-                },
-            )
-            with open(out, "w", encoding="ascii", newline="\n") as handle:
-                json.dump(document, handle, sort_keys=True, indent=1)
-                handle.write("\n")
+            _write_spectrum_json(out, _run_payload(result), series)
     except OSError as exc:
         return _emit_error("io", EXIT_IO, [("out", str(exc))])
 

@@ -48,6 +48,7 @@ from .spectra import (
     HALF_PI,
     StokesIndex,
     _single_port_scalars,
+    _spectrum_from_lorentzian,
     bs_s01_family,
     bs_s2_family,
     single_port_family,
@@ -172,9 +173,10 @@ def scan_phase(coefficients, omega0: float):
     Raises ValueError when S is not finite at some scanned offset.
     """
     _check_omega0(omega0)
+    lor0 = lorentzian(omega0)
 
     def f(delta_phi):
-        return spectrum_from_coefficients(*coefficients(delta_phi), omega0)
+        return _spectrum_from_lorentzian(*coefficients(delta_phi), lor0)
 
     step = TWO_PI / SCAN_RESOLUTION_MIN
     offsets = np.arange(SCAN_RESOLUTION_MIN) * step

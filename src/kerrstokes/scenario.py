@@ -87,10 +87,11 @@ class BeamSplitter:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-# Largest accepted OmegaGrid.count, over 8x the largest benchmark grid.  Output
-# grows linearly with the grid: a ``kerrstokes run`` at 10^6 points peaks at
-# 169 MB RSS with either --format (CPython 3.11, numpy 2, x86_64; 31 MB at 2
-# points), so a mistyped --grid cannot ask for gigabytes.
+# Largest accepted OmegaGrid.count, over 8x the largest benchmark grid.  The
+# spectrum arrays grow linearly with the grid, while the writers hold one
+# chunk of text at a time: a ``kerrstokes run`` at 10^6 points peaks at 62 MB
+# RSS with either --format (minimum of 3 runs; CPython 3.11, numpy 2, x86_64;
+# 31 MB at 2 points), so a mistyped --grid cannot ask for gigabytes.
 MAX_GRID_POINTS = 1_000_000
 
 

@@ -95,9 +95,10 @@ def _square(x):
 
     ``ndarray ** 2`` rounds as x * x, which differs from pow(x, 2) by one
     ulp for about 0.1 % of arguments; float_power keeps array and scalar
-    evaluations of the kernels bit-identical.
+    evaluations of the kernels bit-identical.  A numpy scalar's ``**``
+    already calls pow, at a tenth of float_power's cost.
     """
-    return np.float_power(x, 2)
+    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x**2
 
 
 def _single_port_scalars(p1: PulseSpec, p2: PulseSpec, t: float, include_xpm: bool):
@@ -264,7 +265,11 @@ def kernel_bs_s2(
 
 def spectrum_from_coefficients(a_h, b_g, omega):
     """S(Omega) = 1 + 2 L a_h + 4 L^2 b_g; any argument may be an ndarray."""
-    lor = lorentzian(omega)
+    return _spectrum_from_lorentzian(a_h, b_g, lorentzian(omega))
+
+
+def _spectrum_from_lorentzian(a_h, b_g, lor):
+    """S = 1 + 2 L a_h + 4 L^2 b_g for a given L = lorentzian(Omega)."""
     return 1.0 + 2.0 * lor * a_h + 4.0 * lor * lor * b_g
 
 
