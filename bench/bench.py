@@ -14,7 +14,9 @@ rows are measured, each as the minimum of ``REPEATS`` runs:
 * per layer, in one fresh interpreter per tree and run: ``load_config``,
   ``run()`` (and ``run()`` of the two_sq config switched to S3),
   ``validate``, the phase scan (one ``optimal_phase_two_sq`` call, closed
-  form included), the kernel build (``kernel_two_sq``), ``spectrum`` on the
+  form included), one ``optimal_phase_bs_s01`` call on the bs_interf config
+  and one ``optimal_phase_bs_s2`` call on quadrature-locked pulses with S3
+  selected, the kernel build (``kernel_two_sq``), ``spectrum`` on the
   default 512-point grid, the CSV write and one in-process ``kerrstokes run``
   export of 10^5 points to CSV and to JSON, each timed with ``timeit`` over
   enough calls to last at least 0.2 s.
@@ -33,6 +35,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -88,7 +91,8 @@ def measure_layers(tree: Path) -> dict[str, float]:
 
     from kerrstokes.cli import _write_spectrum_csv, main
     from kerrstokes.config_io import load_config
-    from kerrstokes.optimize import optimal_phase_two_sq
+    from kerrstokes.optimize import optimal_phase_bs_s01, optimal_phase_bs_s2, optimal_phase_two_sq
+    from kerrstokes.pulse import PulseSpec
     from kerrstokes.scenario import run, validate
     from kerrstokes.spectra import StokesIndex, kernel_two_sq, spectrum
 
@@ -114,6 +118,20 @@ def measure_layers(tree: Path) -> dict[str, float]:
     p1, p2 = two_sq.pulses
     t, omega0 = two_sq.analysis_time, two_sq.omega0
     rows["scan_phase two_sq"] = per_call(lambda: optimal_phase_two_sq(p1, p2, t, omega0))
+    bs = results["bs_interf"].config
+    b1, b2, _ = bs.pulses
+    half = bs.beamsplitter
+    rows["optimal_phase bs_s01"] = per_call(
+        lambda: optimal_phase_bs_s01(b1, b2, half, bs.analysis_time, 0.7, bs.stokes_index)
+    )
+    locked = (
+        PulseSpec(n0=100.0, gamma=0.005, phi_lin=0.5 * math.pi),  # quadrature lock
+        PulseSpec(n0=100.0, gamma=0.005),
+        PulseSpec(n0=50.0, phi_lin=0.3),
+    )
+    rows["optimal_phase bs_s2"] = per_call(
+        lambda: optimal_phase_bs_s2(*locked, half, 0.0, 0.7, StokesIndex.S3)
+    )
     rows["kernel build two_sq"] = per_call(lambda: kernel_two_sq(p1, p2, t))
     grid = results["coh_sq"].config.omega_grid.to_array()
     kern = kernel_two_sq(p1, p2, t)

@@ -11,27 +11,25 @@ another; disagreements beyond tolerance are flagged, not hidden.  The
 single-port kinds coh_sq, two_sq and xpm share one optimizer body; only
 coh_sq keeps a closed form of its own (see :func:`optimal_phase_coh_sq`).
 
-The scan shares only the kernel families of :mod:`kerrstokes.spectra`
-with the rest of the package: each optimizer builds its family for the
-Stokes component it is asked for (``index``, or ``which`` for S0/S1) and
-scans ``family(anchor.phi_lin +/- delta_phi)``, the free pulse's linear
-phase under the offset convention below, so the interference angle is
-computed where the kernel builders compute it.  The coarse pass evaluates
-the family once on an ndarray of all offsets; no pulse is rebuilt inside
-a scan.  S3 advances the S2 interference angle by pi/2, so the S3 closed
-form is the S2 one with the offset moved by pi/2, signed by the offset
-convention.  S0/S1 of the single-port family, a pulse pair without Kerr
-noise and L(Omega0) = 1 / (1 + Omega0^2) = 0 each make S = 1 at every
-offset: the optimum is "degenerate".
+Each family's offset convention is one :class:`Offset` record
+``(free, anchor, sign)``, pulses counted from 0: the offset sets the free
+pulse's phi_lin to the anchor's plus ``sign * delta_phi``.  The scan here
+and :func:`kerrstokes.scenario.run`, which applies the optimum, read it.
 
-Phase-offset conventions (also encoded in the ``offset_*`` helpers):
+* ``SINGLE_PORT_OFFSET = (1, 0, +1)``: delta_phi = phi_lin2 - phi_lin1 (coh_sq, two_sq, xpm)
+* ``BS_INPUT_OFFSET = (0, 1, +1)``: delta_phi = phi_lin1 - phi_lin2 (beam-splitter S0/S1)
+* ``BS_PROBE_OFFSET = (2, 1, -1)``: delta_phi = phi_lin2 - phi_lin3 (beam-splitter S2/S3)
 
-* single-port scenarios (coh_sq, two_sq, xpm):
-      delta_phi = phi_lin2 - phi_lin1 (S3: the S2 offset + pi/2)
-* beam-splitter S0/S1:
-      delta_phi = phi_lin1 - phi_lin2
-* beam-splitter S2/S3 (probe phase):
-      delta_phi = phi_lin2 - phi_lin3 (S3: the S2 offset - pi/2)
+Each optimizer builds its family (:mod:`kerrstokes.spectra`) for the Stokes
+component it is asked for and scans it at the free phase, so the
+interference angle is computed where the kernel builders compute it; the
+coarse pass evaluates the family once on an ndarray of all offsets, and no
+pulse is rebuilt inside a scan.  S3 advances the S2 interference angle by
+pi/2, and in every family that angle falls as the free phase rises, so the
+S3 closed offset is the S2 one plus ``sign * pi/2``.  S0/S1 of the
+single-port family, a pulse pair without Kerr noise and
+L(Omega0) = 1 / (1 + Omega0^2) = 0 each make S = 1 at every offset: the
+optimum is "degenerate".
 """
 
 from __future__ import annotations
@@ -58,10 +56,11 @@ from .stokes import _require_coherent
 
 __all__ = [
     "PhaseOptimum",
+    "Offset",
+    "SINGLE_PORT_OFFSET",
+    "BS_INPUT_OFFSET",
+    "BS_PROBE_OFFSET",
     "scan_phase",
-    "offset_partner_phase",
-    "offset_bs_input_phase",
-    "offset_bs_probe_phase",
     "optimal_phase_coh_sq",
     "optimal_phase_two_sq",
     "optimal_phase_xpm",
@@ -111,19 +110,29 @@ class PhaseOptimum:
     flags: tuple[str, ...] = ()
 
 
-def offset_partner_phase(p1: PulseSpec, p2: PulseSpec, delta_phi: float) -> PulseSpec:
-    """Return pulse 2 with phi_lin2 = phi_lin1 + delta_phi (single-port scenarios)."""
-    return p2.with_phase(p1.phi_lin + delta_phi)
+@dataclass(frozen=True)
+class Offset:
+    """A family's offset convention: at ``delta_phi`` the free pulse
+    ``pulses[free]`` has phi_lin = ``pulses[anchor].phi_lin + sign * delta_phi``."""
+
+    free: int
+    anchor: int
+    sign: float
+
+    def phase(self, pulses, delta_phi):
+        """The free pulse's linear phase at ``delta_phi`` (a float or an ndarray)."""
+        return pulses[self.anchor].phi_lin + self.sign * delta_phi
+
+    def apply(self, pulses, delta_phi: float) -> tuple[PulseSpec, ...]:
+        """``pulses`` with the free pulse moved to the offset ``delta_phi``."""
+        moved = list(pulses)
+        moved[self.free] = moved[self.free].with_phase(self.phase(pulses, delta_phi))
+        return tuple(moved)
 
 
-def offset_bs_input_phase(p1: PulseSpec, p2: PulseSpec, delta_phi: float) -> PulseSpec:
-    """Return pulse 1 with phi_lin1 = phi_lin2 + delta_phi (beam-splitter S0/S1)."""
-    return p1.with_phase(p2.phi_lin + delta_phi)
-
-
-def offset_bs_probe_phase(p2: PulseSpec, p3: PulseSpec, delta_phi: float) -> PulseSpec:
-    """Return probe with phi_lin3 = phi_lin2 - delta_phi (beam-splitter S2/S3)."""
-    return p3.with_phase(p2.phi_lin - delta_phi)
+SINGLE_PORT_OFFSET = Offset(free=1, anchor=0, sign=1.0)
+BS_INPUT_OFFSET = Offset(free=0, anchor=1, sign=1.0)
+BS_PROBE_OFFSET = Offset(free=2, anchor=1, sign=-1.0)
 
 
 def _check_omega0(omega0: float) -> None:
@@ -195,13 +204,23 @@ def scan_phase(coefficients, omega0: float):
     return float(phi % TWO_PI), float(s_min)
 
 
-def _assemble(
-    delta_phi_closed: float,
-    s_closed: float,
-    coefficients,
-    omega0: float,
-    extra_flags: tuple[str, ...] = (),
-) -> PhaseOptimum:
+def _optimize(family, offset: Offset, pulses, omega0: float, index: StokesIndex, closed):
+    """The optimum of ``family`` at ``omega0``, scanned under ``offset``.
+
+    ``closed(lor0)`` returns the S2 closed form ``(delta_phi, s_min, *flags)``
+    at L(Omega0) = lor0 > 0, or None when the spectrum is flat.  A
+    non-finite closed minimum raises ValueError before the scan runs.
+    """
+
+    def coefficients(delta_phi):
+        return family(offset.phase(pulses, delta_phi))
+
+    lor0 = lorentzian(omega0)
+    found = None if lor0 == 0.0 else closed(lor0)
+    # a flat spectrum is S = 1 at every offset: no closed phase and nothing to judge
+    delta_phi_closed, s_closed, *flags = (math.nan, 1.0, "degenerate") if found is None else found
+    if index is StokesIndex.S3:  # the angle gains pi/2 and falls with phi_free: move it up
+        delta_phi_closed = delta_phi_closed + offset.sign * HALF_PI
     if not math.isfinite(s_closed):
         raise ValueError(
             f"the closed-form S_min({omega0!r}) is not finite: the photon numbers and "
@@ -210,23 +229,15 @@ def _assemble(
     # PhaseOptimum holds Python floats, whichever scalars the closed form used
     delta_phi_closed, s_closed = float(delta_phi_closed), float(s_closed)
     delta_phi_num, s_num = scan_phase(coefficients, omega0)
-    flags = list(extra_flags)
     if math.isfinite(delta_phi_closed):
         s_at_closed = spectrum_from_coefficients(*coefficients(delta_phi_closed), omega0)
         if s_at_closed > s_num + AGREEMENT_TOL:
             flags.append("closed-phase-not-minimal")
     agreement = abs(s_num - s_closed)
-    if agreement > AGREEMENT_TOL:
+    if found is not None and agreement > AGREEMENT_TOL:
         flags.append("closed-form-discrepancy")
     return PhaseOptimum(
         delta_phi_closed, omega0, s_closed, s_num, agreement, delta_phi_num, tuple(flags)
-    )
-
-
-def _degenerate(coefficients, omega0: float) -> PhaseOptimum:
-    delta_phi_num, s_num = scan_phase(coefficients, omega0)
-    return PhaseOptimum(
-        math.nan, omega0, 1.0, s_num, abs(s_num - 1.0), delta_phi_num, ("degenerate",)
     )
 
 
@@ -244,42 +255,41 @@ def _optimal_single_port(
                         + phi1 - phi2 - phix1 + phix2
         s_min = 1 + 2 Sigma_x L0^2 - 2 L0 sqrt(D^2 + L0^2 Sigma_x^2)
 
-    and the S3 one is delta_phi_opt + pi/2 with the same s_min.  S0 and S1
-    are conserved, so their optimum is degenerate.  A ``coherent`` pulse 1
-    (coh_sq) uses the special case of :func:`optimal_phase_coh_sq` instead.
+    which S3 reaches too.  S0 and S1 are conserved, so their optimum is
+    degenerate.  A ``coherent`` pulse 1 (coh_sq) uses the special case of
+    :func:`optimal_phase_coh_sq` instead.
     """
     _check_omega0(omega0)
     family = single_port_family(p1, p2, t, index, include_xpm)
 
-    def coefficients(delta_phi):  # pulse 2 at offset_partner_phase(p1, p2, delta_phi)
-        return family(p1.phi_lin + delta_phi)
+    def closed(lor0):
+        if index in (StokesIndex.S0, StokesIndex.S1):
+            return None
+        # numpy scalars, so that the closed form overflows to inf (see _optimize)
+        n1, n2, phi1, phi2, phix1, phix2 = map(
+            np.float64, _single_port_scalars(p1, p2, t, include_xpm)
+        )
+        imbalance = n1 * phi2 - n2 * phi1
+        weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
+        if (n1 * phi2 if coherent else weight) == 0.0:
+            return None
+        if coherent:  # the general form would move s_min by one ulp
+            delta_phi = 0.5 * math.atan(1.0 / (lor0 * phi2)) - phi2
+            s_closed = (
+                1.0
+                + 2.0 * n1 * phi2**2 * lor0**2
+                - 2.0 * n1 * phi2 * lor0 * math.sqrt(1.0 + phi2**2 * lor0**2)
+            )
+        else:
+            delta_phi = 0.5 * math.atan(imbalance / (lor0 * weight)) + phi1 - phi2 - phix1 + phix2
+            s_closed = (
+                1.0
+                + 2.0 * weight * lor0**2
+                - 2.0 * lor0 * math.sqrt(imbalance**2 + (lor0 * weight) ** 2)
+            )
+        return delta_phi, s_closed
 
-    if index in (StokesIndex.S0, StokesIndex.S1):
-        return _degenerate(coefficients, omega0)
-    # numpy scalars, so that the closed form overflows to inf (see _assemble)
-    n1, n2, phi1, phi2, phix1, phix2 = map(np.float64, _single_port_scalars(p1, p2, t, include_xpm))
-    imbalance = n1 * phi2 - n2 * phi1
-    weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
-    lor0 = lorentzian(omega0)
-    if lor0 == 0.0 or (n1 * phi2 if coherent else weight) == 0.0:
-        return _degenerate(coefficients, omega0)
-    if coherent:  # the general form would move s_min by one ulp
-        delta_phi = 0.5 * math.atan(1.0 / (lor0 * phi2)) - phi2
-        s_closed = (
-            1.0
-            + 2.0 * n1 * phi2**2 * lor0**2
-            - 2.0 * n1 * phi2 * lor0 * math.sqrt(1.0 + phi2**2 * lor0**2)
-        )
-    else:
-        delta_phi = 0.5 * math.atan(imbalance / (lor0 * weight)) + phi1 - phi2 - phix1 + phix2
-        s_closed = (
-            1.0
-            + 2.0 * weight * lor0**2
-            - 2.0 * lor0 * math.sqrt(imbalance**2 + (lor0 * weight) ** 2)
-        )
-    if index is StokesIndex.S3:  # theta = ... - phi_lin2 + pi/2: phi_lin2 moves up by pi/2
-        delta_phi = delta_phi + HALF_PI
-    return _assemble(delta_phi, s_closed, coefficients, omega0)
+    return _optimize(family, SINGLE_PORT_OFFSET, (p1, p2), omega0, index, closed)
 
 
 def optimal_phase_coh_sq(
@@ -290,11 +300,11 @@ def optimal_phase_coh_sq(
     S2 closed form: delta_phi_opt = arctan(1 / (L0 phi2)) / 2 - phi2, reaching
 
         s_min = 1 + 2 nbar1 phi2^2 L0^2
-                  - 2 nbar1 phi2 L0 sqrt(1 + phi2^2 L0^2);
+                  - 2 nbar1 phi2 L0 sqrt(1 + phi2^2 L0^2),
 
-    for S3 delta_phi_opt is pi/2 larger.  With phi2 = 0 the pulse pair
-    carries no Kerr noise at all and the spectrum is identically 1
-    (degenerate optimum), as it is for S0, S1 and L0 = 0.
+    which S3 reaches too.  With phi2 = 0 the pulse pair carries no Kerr
+    noise at all and the spectrum is identically 1 (degenerate optimum), as
+    it is for S0, S1 and L0 = 0.
     """
     _require_coherent(p1, "pulse 1")
     return _optimal_single_port(p1, p2, t, omega0, index, include_xpm=False, coherent=True)
@@ -376,30 +386,27 @@ def optimal_phase_bs_s01(
     if problems:
         raise ScenarioContractError(problems[0])
 
-    def coefficients(delta_phi):  # pulse 1 at offset_bs_input_phase(p1, p2, delta_phi)
-        return family(p2.phi_lin + delta_phi)
+    def closed(lor0):
+        # numpy scalars, so that the closed form overflows to inf (see _optimize)
+        n1, n2, phi1, phi2 = map(
+            np.float64, (p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t))
+        )
+        sign = 1.0 if which is StokesIndex.S0 else -1.0
+        weight = n1 * phi2**2 + n2 * phi1**2
+        if bs.r * bs.t == 0.0 or weight == 0.0:
+            return None
+        numerator = bs.r * n1 + sign * bs.t * n2
+        vertex_cos = (
+            numerator
+            / (2.0 * (n1 + n2) * phi1 * lor0)
+            * math.sqrt(n1 / (bs.r * bs.t * n2))
+        )
+        s_closed = 1.0 - numerator**2 / (n1 + n2)
+        if not abs(vertex_cos) <= 1.0:  # nan too: 0 / 0 when phi1 and the numerator vanish
+            return math.nan, s_closed, "arccos-domain"
+        return math.acos(vertex_cos) - phi1 + phi2, s_closed
 
-    # numpy scalars, so that the closed form overflows to inf (see _assemble)
-    n1, n2, phi1, phi2 = map(
-        np.float64, (p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t))
-    )
-    sign = 1.0 if which is StokesIndex.S0 else -1.0
-    weight = n1 * phi2**2 + n2 * phi1**2
-    lor0 = lorentzian(omega0)
-    if lor0 == 0.0 or bs.r * bs.t == 0.0 or weight == 0.0:
-        return _degenerate(coefficients, omega0)
-
-    numerator = bs.r * n1 + sign * bs.t * n2
-    vertex_cos = (
-        numerator
-        / (2.0 * (n1 + n2) * phi1 * lor0)
-        * math.sqrt(n1 / (bs.r * bs.t * n2))
-    )
-    s_closed = 1.0 - numerator**2 / (n1 + n2)
-    if abs(vertex_cos) > 1.0:
-        return _assemble(math.nan, s_closed, coefficients, omega0, ("arccos-domain",))
-    delta_phi = math.acos(vertex_cos) - phi1 + phi2
-    return _assemble(delta_phi, s_closed, coefficients, omega0)
+    return _optimize(family, BS_INPUT_OFFSET, (p1, p2), omega0, which, closed)
 
 
 def optimal_phase_bs_s2(
@@ -418,10 +425,10 @@ def optimal_phase_bs_s2(
         s_min = 1 + 2 nbar3 phi^2 L0^2
                   - 2 nbar3 phi L0 sqrt(1 + (R - T)^2 phi^2 L0^2)
 
-    and for S3 delta_phi_opt is pi/2 smaller.  L0 = 0 or a probe without
-    Kerr noise gives a degenerate optimum.  The scan runs on the kernel of
-    ``index`` and is authoritative whenever it finds a deeper minimum
-    (flagged, see PhaseOptimum).
+    which S3 reaches too.  L0 = 0 or a probe without Kerr noise gives
+    a degenerate optimum.  The scan runs on the kernel of ``index`` and is
+    authoritative whenever it finds a deeper minimum (flagged, see
+    PhaseOptimum).
     """
     family = bs_s2_family(p1, p2, p3, bs, t, index)
     _check_omega0(omega0)
@@ -429,25 +436,21 @@ def optimal_phase_bs_s2(
     if problems:
         raise ScenarioContractError(problems[0])
 
-    def coefficients(delta_phi):  # the probe at offset_bs_probe_phase(p2, p3, delta_phi)
-        return family(p2.phi_lin - delta_phi)
+    def closed(lor0):
+        # numpy scalars, so that the closed form overflows to inf (see _optimize)
+        n3, phi = map(np.float64, (p3.mean_photons(t), p1.spm_phase(t)))  # phi2 = phi by contract
+        if n3 * phi == 0.0:
+            return None
+        rt_diff = bs.r - bs.t
+        if rt_diff == 0.0:
+            delta_phi = 0.25 * math.pi - phi
+        else:
+            delta_phi = 0.5 * math.atan(1.0 / (rt_diff * phi * lor0)) - phi
+        s_closed = (
+            1.0
+            + 2.0 * n3 * phi**2 * lor0**2
+            - 2.0 * n3 * phi * lor0 * math.sqrt(1.0 + rt_diff**2 * phi**2 * lor0**2)
+        )
+        return delta_phi, s_closed
 
-    # numpy scalars, so that the closed form overflows to inf (see _assemble)
-    n3, phi1, phi2 = map(np.float64, (p3.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)))
-    phi = phi1
-    lor0 = lorentzian(omega0)
-    if lor0 == 0.0 or n3 * phi == 0.0:
-        return _degenerate(coefficients, omega0)
-    rt_diff = bs.r - bs.t
-    if rt_diff == 0.0:
-        delta_phi = 0.25 * math.pi - phi
-    else:
-        delta_phi = 0.5 * math.atan(1.0 / (rt_diff * phi * lor0)) - phi
-    s_closed = (
-        1.0
-        + 2.0 * n3 * phi**2 * lor0**2
-        - 2.0 * n3 * phi * lor0 * math.sqrt(1.0 + rt_diff**2 * phi**2 * lor0**2)
-    )
-    if index is StokesIndex.S3:  # psi = ... - phi_lin3 + pi/2: phi_lin3 moves up by pi/2
-        delta_phi = delta_phi - HALF_PI
-    return _assemble(delta_phi, s_closed, coefficients, omega0)
+    return _optimize(family, BS_PROBE_OFFSET, (p1, p2, p3), omega0, index, closed)

@@ -11,7 +11,9 @@ non-fatal findings).  :func:`run` produces average Stokes parameters, the
 fluctuation spectrum on the grid and, when Omega0 is given, the phase
 optimum; the spectrum is then evaluated at the optimal phase offset.  What
 differs between kinds (pulse count, coherent pulses, kernel, averages,
-phase-offset convention, optimum, default reference) sits in one table.
+optimum, default reference) sits in one table, which also holds each
+Stokes component's phase-offset record (:class:`kerrstokes.optimize.Offset`),
+the one its optimizer scans under.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ from .kernel import RelaxationKernel
 from .optimize import (
     PhaseOptimum,
     _bs_contract_issues,
-    offset_bs_input_phase,
-    offset_bs_probe_phase,
-    offset_partner_phase,
     optimal_phase_bs_s01,
     optimal_phase_bs_s2,
 )
@@ -314,7 +313,7 @@ class _Kind:
     coherent: tuple[tuple[int, str], ...]  # (pulse index, role) of pulses with gamma == 0
     kernel: Callable  # (config, pulses, t) -> CorrelationKernel
     averages: Callable  # (config, pulses, t) -> StokesSummary
-    apply_offset: Callable  # (config, pulses, delta_phi) -> offset pulses
+    offset: dict[StokesIndex, optimize.Offset]  # the pulse phase each component's optimum sets
     optimum: Callable  # (config, t) -> PhaseOptimum at config.omega0
     reference: Callable  # (config, t) -> shot-noise intensity of S* by default
 
@@ -336,9 +335,7 @@ def _single_port(kind: ScenarioKind, coherent=()) -> _Kind:
             p[0], p[1], t, config.stokes_index
         ),
         averages=lambda config, p, t: getattr(stokes, f"averages_{name}")(p[0], p[1], t),
-        apply_offset=lambda config, p, delta_phi: (
-            p[0], offset_partner_phase(p[0], p[1], delta_phi)
-        ),
+        offset=dict.fromkeys(StokesIndex, optimize.SINGLE_PORT_OFFSET),
         optimum=lambda config, t: getattr(optimize, f"optimal_phase_{name}")(
             config.pulses[0], config.pulses[1], t, config.omega0, config.stokes_index
         ),
@@ -350,12 +347,6 @@ def _bs_kernel(config, p, t):
     if _photon_number(config.stokes_index):
         return kernel_bs_s01(p[0], p[1], config.beamsplitter, t, config.stokes_index)
     return kernel_bs_s2(p[0], p[1], p[2], config.beamsplitter, t, config.stokes_index)
-
-
-def _bs_offset(config, p, delta_phi):
-    if _photon_number(config.stokes_index):
-        return (offset_bs_input_phase(p[0], p[1], delta_phi), p[1], p[2])
-    return (p[0], p[1], offset_bs_probe_phase(p[1], p[2], delta_phi))
 
 
 def _bs_optimum(config, t):
@@ -381,7 +372,10 @@ _KINDS = {
         coherent=((2, "probe pulse"),),
         kernel=_bs_kernel,
         averages=lambda config, p, t: averages_bs(p[0], p[1], p[2], config.beamsplitter, t),
-        apply_offset=_bs_offset,
+        offset={
+            index: optimize.BS_INPUT_OFFSET if _photon_number(index) else optimize.BS_PROBE_OFFSET
+            for index in StokesIndex
+        },
         optimum=_bs_optimum,
         reference=_bs_reference,
     ),
@@ -409,7 +403,7 @@ def run(config: ScenarioConfig) -> ScenarioResult:
             if math.isfinite(optimum.delta_phi_opt)
             else optimum.delta_phi_numeric
         )
-        pulses = kind.apply_offset(config, pulses, chosen)
+        pulses = kind.offset[config.stokes_index].apply(pulses, chosen)
     kern = kind.kernel(config, pulses, t)
     reference = (
         config.normalization if config.normalization is not None else kind.reference(config, t)

@@ -131,6 +131,8 @@ def single_port_family(
     S3 advances theta by pi/2.  S0 and S1 are photon-number observables,
     conserved here, so their coefficients are 0 at every phase.
     """
+    if not isinstance(index, StokesIndex):
+        raise ValueError(f"index must be a StokesIndex, got {index!r}")
     if index in (StokesIndex.S0, StokesIndex.S1):
         return lambda phi_lin2: (0.0, 0.0)
     n1, n2, phi1, phi2, phix1, phix2 = _single_port_scalars(p1, p2, t, include_xpm)

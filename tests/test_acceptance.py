@@ -27,7 +27,7 @@ from kerrstokes.kernel import (
     fourier_h_closed,
 )
 from kerrstokes.optimize import (
-    offset_partner_phase,
+    SINGLE_PORT_OFFSET,
     optimal_phase_bs_s01,
     optimal_phase_coh_sq,
 )
@@ -231,8 +231,8 @@ def test_criterion_06_quarter_turn_duality():
             assert abs(k2.b_g + k3.b_g - total) <= 1e-12
 
             dphi = float(rng.uniform(0.0, 2 * math.pi))
-            turned = average(p1, offset_partner_phase(p1, p2, dphi), 0.0)
-            quarter = average(p1, offset_partner_phase(p1, p2, dphi - math.pi / 2), 0.0)
+            turned = average(*SINGLE_PORT_OFFSET.apply((p1, p2), dphi), 0.0)
+            quarter = average(*SINGLE_PORT_OFFSET.apply((p1, p2), dphi - math.pi / 2), 0.0)
             assert turned.s3 == pytest.approx(quarter.s2, abs=1e-12)
 
 

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from kerrstokes.errors import ScenarioContractError
 from kerrstokes.optimize import (
     AGREEMENT_TOL,
-    offset_bs_input_phase,
-    offset_bs_probe_phase,
-    offset_partner_phase,
+    BS_INPUT_OFFSET,
+    BS_PROBE_OFFSET,
+    SINGLE_PORT_OFFSET,
     optimal_phase_bs_s01,
     optimal_phase_bs_s2,
     optimal_phase_coh_sq,
@@ -25,6 +25,8 @@ from kerrstokes.scenario import BeamSplitter
 from kerrstokes.spectra import (
     StokesIndex,
     kernel_coh_sq,
+    kernel_two_sq,
+    kernel_xpm,
     single_port_family,
     spectrum_value,
 )
@@ -53,8 +55,8 @@ def test_textbook_minimum_at_unit_frequency():
 
 def test_kernel_coefficients_at_the_optimum():
     opt = optimal_phase_coh_sq(COHERENT_UNIT, KERR_UNIT_PHI, 0.0, omega0=0.0)
-    shifted = offset_partner_phase(COHERENT_UNIT, KERR_UNIT_PHI, opt.delta_phi_opt)
-    kern = kernel_coh_sq(COHERENT_UNIT, shifted, 0.0)
+    shifted = SINGLE_PORT_OFFSET.apply((COHERENT_UNIT, KERR_UNIT_PHI), opt.delta_phi_opt)
+    kern = kernel_coh_sq(*shifted, 0.0)
     assert kern.a_h == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-13)
     assert kern.b_g == pytest.approx((1.0 - 1.0 / math.sqrt(2.0)) / 2.0, abs=1e-13)
     assert spectrum_value(kern, 0.0) == pytest.approx(opt.s_min_closed, abs=1e-13)
@@ -135,6 +137,18 @@ class TestBeamSplitterS01:
         # numerator r*n1 - t*n2 vanishes identically, so this one is exact
         assert opt.s_min_closed == 1.0
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_zero_over_zero_vertex_is_flagged(self):
+        """phi1 = 0 on the balance manifold and R nbar1 = T nbar2 make the S1
+        vertex C = 0 / 0: no closed phase, so the scan must be flagged as
+        authoritative rather than a nan phase passed off as an optimum."""
+        p1 = PulseSpec(n0=1.0)
+        p2 = PulseSpec(n0=1.0, gamma=1e-12)
+        opt = optimal_phase_bs_s01(p1, p2, self.BS, 0.0, 0.5, which=StokesIndex.S1)
+        assert opt.flags == ("arccos-domain",)
+        assert math.isnan(opt.delta_phi_opt)
+        assert math.isfinite(opt.delta_phi_numeric)
+
     def test_rejects_s2_selector(self):
         with pytest.raises(ValueError):
             optimal_phase_bs_s01(
@@ -208,12 +222,31 @@ def test_scan_finds_known_minimum():
     assert s_min == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), abs=1e-9)
 
 
-def test_offset_helpers_encode_conventions():
+@pytest.mark.parametrize(
+    "build",
+    [
+        kernel_coh_sq,
+        kernel_two_sq,
+        kernel_xpm,
+        lambda p1, p2, t, index: optimal_phase_coh_sq(p1, p2, t, 0.7, index),
+        lambda p1, p2, t, index: optimal_phase_two_sq(p1, p2, t, 0.7, index),
+        lambda p1, p2, t, index: optimal_phase_xpm(p1, p2, t, 0.7, index),
+    ],
+    ids=["kernel_coh_sq", "kernel_two_sq", "kernel_xpm",
+         "optimal_phase_coh_sq", "optimal_phase_two_sq", "optimal_phase_xpm"],
+)
+@pytest.mark.parametrize("index", ["S3", 3, None])
+def test_single_port_family_rejects_a_non_stokes_index(build, index):
+    with pytest.raises(ValueError, match="StokesIndex"):
+        build(COHERENT_UNIT, KERR_UNIT_PHI, 0.0, index)
+
+
+def test_offset_records_encode_conventions():
     a = PulseSpec(n0=1.0, phi_lin=0.2)
     b = PulseSpec(n0=2.0, phi_lin=-0.9)
-    assert offset_partner_phase(a, b, 0.5).phi_lin == pytest.approx(0.7)
-    assert offset_bs_input_phase(a, b, 0.5).phi_lin == pytest.approx(-0.4)
-    assert offset_bs_probe_phase(a, b, 0.5).phi_lin == pytest.approx(-0.3)
+    assert SINGLE_PORT_OFFSET.apply((a, b), 0.5)[1].phi_lin == pytest.approx(0.7)
+    assert BS_INPUT_OFFSET.apply((a, b), 0.5)[0].phi_lin == pytest.approx(-0.4)
+    assert BS_PROBE_OFFSET.apply((b, a, b), 0.5)[2].phi_lin == pytest.approx(-0.3)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 
 from kerrstokes.errors import ConfigValidationError
 from kerrstokes.kernel import RelaxationKernel
+from kerrstokes.optimize import AGREEMENT_TOL
 from kerrstokes.pulse import Envelope, EnvelopeShape, PulseSpec
 from kerrstokes.scenario import (
     MAX_GRID_POINTS,
@@ -278,6 +279,86 @@ class TestRun:
             warnings.simplefilter("ignore")  # numpy reports the overflow it saturates
             with pytest.raises(ValueError, match="double precision|finite"):
                 run(config(pulses=(COH, huge), omega0=omega0))
+
+
+def _offset_draws(rng, count):
+    """(family, kind, pulses, beam splitter, Stokes index) of random scenarios,
+    two components each; every fifth draw has no Kerr coupling or a dark
+    probe, so its spectrum is flat and its optimum degenerate."""
+
+    def u(low, high):
+        return float(rng.uniform(low, high))
+
+    def phase():
+        return u(0.0, 2.0 * math.pi)
+
+    for i in range(count):
+        dark = i % 5 == 0
+        coh_sq = (
+            PulseSpec(n0=u(0.2, 5.0), phi_lin=phase()),
+            PulseSpec(n0=u(10.0, 200.0), gamma=0.0 if dark else u(0.001, 0.01), phi_lin=phase()),
+        )
+        xpm = tuple(
+            PulseSpec(
+                n0=u(10.0, 300.0), gamma=0.0 if dark else u(0.001, 0.01),
+                gamma_x=0.0 if dark else u(0.0005, 0.005), phi_lin=phase(),
+            )
+            for _ in range(2)
+        )
+        n1 = u(50.0, 200.0)
+        gamma = 0.0 if dark else u(1.0, 3.0) / (2.0 * n1)  # equal gammas: balanced
+        bs_s01 = (
+            PulseSpec(n0=n1, gamma=gamma, phi_lin=phase()),
+            PulseSpec(n0=n1 * u(0.5, 2.0), gamma=gamma, phi_lin=phase()),
+            PulseSpec(n0=u(0.0, 5.0)),
+        )
+        phi, base, na, nb = u(0.3, 2.5), phase(), u(50.0, 200.0), u(50.0, 200.0)
+        bs_s2 = (  # equal SPM phases, locked in quadrature
+            PulseSpec(n0=na, gamma=phi / (2.0 * na), phi_lin=base + 0.5 * math.pi),
+            PulseSpec(n0=nb, gamma=phi / (2.0 * nb), phi_lin=base),
+            PulseSpec(n0=0.0 if dark else u(50.0, 200.0), phi_lin=phase()),
+        )
+        splitters = [BeamSplitter(r, 1.0 - r) for r in (u(0.25, 0.75), u(0.25, 0.75))]
+        for index in (StokesIndex.S2, StokesIndex.S3):
+            yield "coh_sq", ScenarioKind.COH_SQ, coh_sq, None, index
+            yield "xpm", ScenarioKind.XPM, xpm, None, index
+            yield "bs_s2", ScenarioKind.BS_INTERF, bs_s2, splitters[1], index
+        for index in (StokesIndex.S0, StokesIndex.S1):
+            yield "bs_s01", ScenarioKind.BS_INTERF, bs_s01, splitters[0], index
+
+
+def test_run_applies_the_offset_its_optimizer_scanned():
+    """run() moves the pulse the optimizer's offset record names, so S at
+    Omega0 is the optimum it reports.
+
+    With no closed phase (degenerate, arccos-domain) the scanned phase is
+    applied and S(Omega0) equals the scanned minimum bit for bit.  Otherwise
+    S(Omega0) sits above the scanned minimum exactly when the optimizer says
+    so.  The single-port and S0/S1 closed forms are exact minima, so they
+    never carry that flag: a record with the wrong anchor or sign moves the
+    scan and the applied phase away from the closed form's convention."""
+    rng = np.random.default_rng(2024)
+    routes = {}
+    for family, kind, pulses, bs, index in _offset_draws(rng, 20):
+        omega0 = float(rng.uniform(0.0, 3.0))
+        cfg = config(
+            kind=kind, pulses=pulses, beamsplitter=bs, stokes_index=index, omega0=omega0,
+            omega_grid=OmegaGrid(omega0, omega0 + 1.0, 2), normalization=1.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # strong couplings, xpm without gamma_x
+            result = run(cfg)
+        opt, at_omega0 = result.optimum, result.spectrum.values[0]
+        scanned = "degenerate" in opt.flags or "arccos-domain" in opt.flags
+        routes.setdefault(family, set()).add(scanned)
+        if scanned:
+            assert at_omega0 == opt.s_min_numeric, (family, index, opt)
+        else:
+            above = at_omega0 > opt.s_min_numeric + AGREEMENT_TOL
+            assert ("closed-phase-not-minimal" in opt.flags) == above, (family, index, opt)
+        if family != "bs_s2":
+            assert "closed-phase-not-minimal" not in opt.flags, (family, index, opt)
+    assert routes == dict.fromkeys(("coh_sq", "xpm", "bs_s2", "bs_s01"), {False, True})
 
 
 def test_overflowing_stokes_averages_raise_value_error():
