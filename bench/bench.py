@@ -17,9 +17,10 @@ rows are measured, each as the minimum of ``REPEATS`` runs:
   form included), one ``optimal_phase_bs_s01`` call on the bs_interf config
   and one ``optimal_phase_bs_s2`` call on quadrature-locked pulses with S3
   selected, the kernel build (``kernel_two_sq``), ``spectrum`` on the
-  default 512-point grid, the CSV write and one in-process ``kerrstokes run``
-  export of 10^5 points to CSV and to JSON, each timed with ``timeit`` over
-  enough calls to last at least 0.2 s.
+  default 512-point grid, the CSV write, one in-process ``kerrstokes run``
+  export of 10^5 points to CSV and to JSON, and ``verify.run_checks()``
+  (the cold ``verify`` row without start-up and JSON output), each timed
+  with ``timeit`` over enough calls to last at least 0.2 s.
 
 Both kinds of runs are interleaved across trees, round by round, so every
 column is measured in the same window on the same host.  With two or more
@@ -95,6 +96,7 @@ def measure_layers(tree: Path) -> dict[str, float]:
     from kerrstokes.pulse import PulseSpec
     from kerrstokes.scenario import run, validate
     from kerrstokes.spectra import StokesIndex, kernel_two_sq, spectrum
+    from kerrstokes.verify import run_checks
 
     warnings.simplefilter("ignore")  # physics warnings are not what is timed
     rows = {}
@@ -150,6 +152,7 @@ def measure_layers(tree: Path) -> dict[str, float]:
                         raise RuntimeError(f"kerrstokes {' '.join(argv)} failed")
 
             rows[f"export {fmt} 100000 points"] = per_call(export)
+    rows["verify run_checks()"] = per_call(run_checks)
     return rows
 
 

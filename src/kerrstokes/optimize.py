@@ -50,7 +50,6 @@ from .spectra import (
     bs_s01_family,
     bs_s2_family,
     single_port_family,
-    spectrum_from_coefficients,
 )
 from .stokes import _require_coherent
 
@@ -230,7 +229,7 @@ def _optimize(family, offset: Offset, pulses, omega0: float, index: StokesIndex,
     delta_phi_closed, s_closed = float(delta_phi_closed), float(s_closed)
     delta_phi_num, s_num = scan_phase(coefficients, omega0)
     if math.isfinite(delta_phi_closed):
-        s_at_closed = spectrum_from_coefficients(*coefficients(delta_phi_closed), omega0)
+        s_at_closed = _spectrum_from_lorentzian(*coefficients(delta_phi_closed), lor0)
         if s_at_closed > s_num + AGREEMENT_TOL:
             flags.append("closed-phase-not-minimal")
     agreement = abs(s_num - s_closed)
@@ -396,13 +395,12 @@ def optimal_phase_bs_s01(
         if bs.r * bs.t == 0.0 or weight == 0.0:
             return None
         numerator = bs.r * n1 + sign * bs.t * n2
-        vertex_cos = (
-            numerator
-            / (2.0 * (n1 + n2) * phi1 * lor0)
-            * math.sqrt(n1 / (bs.r * bs.t * n2))
-        )
+        denominator = 2.0 * (n1 + n2) * phi1 * lor0
         s_closed = 1.0 - numerator**2 / (n1 + n2)
-        if not abs(vertex_cos) <= 1.0:  # nan too: 0 / 0 when phi1 and the numerator vanish
+        if denominator == 0.0:  # phi1 = 0: C = x / 0 or 0 / 0, no vertex to take arccos of
+            return math.nan, s_closed, "arccos-domain"
+        vertex_cos = numerator / denominator * math.sqrt(n1 / (bs.r * bs.t * n2))
+        if not abs(vertex_cos) <= 1.0:  # nan too: inf / inf once the numbers overflow
             return math.nan, s_closed, "arccos-domain"
         return math.acos(vertex_cos) - phi1 + phi2, s_closed
 

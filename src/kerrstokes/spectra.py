@@ -57,7 +57,6 @@ __all__ = [
     "bs_s01_family",
     "bs_s2_family",
     "spectrum",
-    "spectrum_from_coefficients",
     "spectrum_value",
 ]
 
@@ -265,19 +264,15 @@ def kernel_bs_s2(
     return _kernel(bs_s2_family(p1, p2, p3, bs, t, index), p3.phi_lin)
 
 
-def spectrum_from_coefficients(a_h, b_g, omega):
-    """S(Omega) = 1 + 2 L a_h + 4 L^2 b_g; any argument may be an ndarray."""
-    return _spectrum_from_lorentzian(a_h, b_g, lorentzian(omega))
-
-
 def _spectrum_from_lorentzian(a_h, b_g, lor):
-    """S = 1 + 2 L a_h + 4 L^2 b_g for a given L = lorentzian(Omega)."""
+    """S = 1 + 2 L a_h + 4 L^2 b_g for a given L = lorentzian(Omega); any argument
+    may be an ndarray."""
     return 1.0 + 2.0 * lor * a_h + 4.0 * lor * lor * b_g
 
 
 def spectrum_value(kern: CorrelationKernel, omega) -> float:
     """S(Omega) = 1 + 2 L a_h + 4 L^2 b_g at a single reduced frequency."""
-    return spectrum_from_coefficients(kern.a_h, kern.b_g, omega)
+    return _spectrum_from_lorentzian(kern.a_h, kern.b_g, lorentzian(omega))
 
 
 @dataclass(frozen=True)
@@ -317,7 +312,7 @@ def spectrum(
         raise ValueError(
             f"reference_intensity must be a positive finite number, got {reference_intensity!r}"
         )
-    values = spectrum_from_coefficients(kern.a_h, kern.b_g, grid)
+    values = _spectrum_from_lorentzian(kern.a_h, kern.b_g, lorentzian(grid))
     normalized = (values - 1.0) / reference_intensity
     if not np.isfinite(normalized).all():
         raise ValueError(f"S* = (S - 1) / {reference_intensity!r} is not finite on the grid")

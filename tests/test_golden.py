@@ -1,9 +1,14 @@
 """Byte-level regression of the CLI outputs against committed SHA-256 digests.
 
-Covers every figure CSV (ids 1-6 and 8-12) and ``kerrstokes run`` on each
+Covers every figure CSV (ids 1-6 and 8-12), ``kerrstokes run`` on each
 example config in ``configs/``, written both as CSV and as the JSON
-document.  All four configs set ``omega0``, so the run digests also pin the
-phase optimum (closed form and scan) reported in the JSON document.
+document, and the ``kerrstokes verify`` report.  All four configs set
+``omega0``, so the run digests also pin the phase optimum (closed form and
+scan) reported in the JSON document.  The verify digest pins every check's
+name, verdict, tolerance and detail string and the optimizer flags; only
+``elapsed_seconds``, a wall-clock time, is left out.  A closed-vs-scan
+sweep shows its random draws only through its verdict, so the pulses that
+``verify._draw_pulse`` returns during that run are pinned by a second digest.
 
 A changed digest means some output moved by at least one bit.  Such a
 change has to be deliberate and named in CHANGES.md; the digests are then
@@ -21,10 +26,11 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from kerrstokes import cli
+from kerrstokes import cli, verify
 from kerrstokes.figures import FIGURE_IDS
 
 HERE = Path(__file__).resolve().parent
@@ -60,12 +66,35 @@ def run_digests(config: Path, out_dir: Path) -> dict[str, str]:
     return digests
 
 
+def verify_digests(out_dir: Path) -> dict[str, str]:
+    """Digests of one ``kerrstokes verify`` run: its report without
+    ``elapsed_seconds``, and the repr of every pulse it draws."""
+    drawn = []
+    draw_pulse = verify._draw_pulse
+
+    def recording(*args, **kwargs):
+        drawn.append(draw_pulse(*args, **kwargs))
+        return drawn[-1]
+
+    out = out_dir / "verify.json"
+    with mock.patch.object(verify, "_draw_pulse", recording):
+        _main("verify", "--out", out)
+    report = json.loads(out.read_text(encoding="ascii"))
+    del report["elapsed_seconds"]
+    texts = {
+        "verify/report.json": json.dumps(report, sort_keys=True, indent=1) + "\n",
+        "verify/draws.txt": "".join(f"{pulse!r}\n" for pulse in drawn),
+    }
+    return {k: hashlib.sha256(v.encode("ascii")).hexdigest() for k, v in texts.items()}
+
+
 def all_digests(out_dir: Path) -> dict[str, str]:
     digests = {}
     for fid in DATA_FIGURES:
         digests.update(figure_digests(fid, out_dir))
     for config in CONFIGS:
         digests.update(run_digests(config, out_dir))
+    digests.update(verify_digests(out_dir))
     return digests
 
 
@@ -77,7 +106,7 @@ def committed():
 def test_every_output_is_pinned(committed):
     names = {f"run/{c.stem}.{fmt}" for c in CONFIGS for fmt in ("csv", "json")}
     assert len(CONFIGS) == 4
-    assert names <= committed.keys()
+    assert names | {"verify/report.json", "verify/draws.txt"} <= committed.keys()
     assert {k.split("_")[0] for k in committed if k.startswith("figure/")} == {
         f"figure/fig{fid}" for fid in DATA_FIGURES
     }
@@ -93,6 +122,11 @@ def test_figure_csvs_match_digests(figure_id, committed, tmp_path):
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
 def test_run_outputs_match_digests(config, committed, tmp_path):
     got = run_digests(config, tmp_path)
+    assert got == {k: committed[k] for k in got}
+
+
+def test_verify_report_matches_digests(committed, tmp_path):
+    got = verify_digests(tmp_path)
     assert got == {k: committed[k] for k in got}
 
 

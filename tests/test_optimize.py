@@ -1,6 +1,7 @@
 """Closed-form phase optima against the scan route."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,17 +138,24 @@ class TestBeamSplitterS01:
         # numerator r*n1 - t*n2 vanishes identically, so this one is exact
         assert opt.s_min_closed == 1.0
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_zero_over_zero_vertex_is_flagged(self):
-        """phi1 = 0 on the balance manifold and R nbar1 = T nbar2 make the S1
-        vertex C = 0 / 0: no closed phase, so the scan must be flagged as
-        authoritative rather than a nan phase passed off as an optimum."""
-        p1 = PulseSpec(n0=1.0)
-        p2 = PulseSpec(n0=1.0, gamma=1e-12)
-        opt = optimal_phase_bs_s01(p1, p2, self.BS, 0.0, 0.5, which=StokesIndex.S1)
-        assert opt.flags == ("arccos-domain",)
-        assert math.isnan(opt.delta_phi_opt)
-        assert math.isfinite(opt.delta_phi_numeric)
+        """phi1 = 0 on the balance manifold makes the vertex C = x / 0, and
+        0 / 0 for S1 when R nbar1 = T nbar2: no closed phase, so the scan must
+        be flagged as authoritative rather than a nan phase passed off as an
+        optimum, and without a numpy division warning on the way."""
+        for which, n2, flags in (
+            (StokesIndex.S1, 1.0, ("arccos-domain",)),
+            (StokesIndex.S0, 1.0, ("arccos-domain", "closed-form-discrepancy")),
+            (StokesIndex.S1, 2.0, ("arccos-domain", "closed-form-discrepancy")),
+        ):
+            p1 = PulseSpec(n0=1.0)
+            p2 = PulseSpec(n0=n2, gamma=1e-12)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                opt = optimal_phase_bs_s01(p1, p2, self.BS, 0.0, 0.5, which=which)
+            assert opt.flags == flags
+            assert math.isnan(opt.delta_phi_opt)
+            assert math.isfinite(opt.delta_phi_numeric)
 
     def test_rejects_s2_selector(self):
         with pytest.raises(ValueError):
