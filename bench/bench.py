@@ -23,10 +23,12 @@ rows are measured, each as the minimum of ``REPEATS`` runs:
   with ``timeit`` over enough calls to last at least 0.2 s.
 
 Both kinds of runs are interleaved across trees, round by round, so every
-column is measured in the same window on the same host.  With two or more
-trees the report also gives, per in-process row, the median and range over
-the rounds of each column's time divided by the first column's time in the
-same round.  Only the standard library and numpy are used.
+column is measured in the same window on the same host; the order of the
+trees is reversed every other round, so that no column is always measured
+first.  With two or more trees the report also gives, per in-process row,
+the median and range over the rounds of each column's time divided by the
+first column's time in the same round.  Only the standard library and
+numpy are used.
 """
 
 from __future__ import annotations
@@ -217,9 +219,10 @@ def main(argv=None) -> int:
     rss: dict[str, dict[str, float]] = {}
     layers: dict[str, dict[str, float]] = {}
     layer_rounds: dict[str, dict[str, list[float]]] = {}
+    order = list(trees.items())
     with tempfile.TemporaryDirectory() as scratch:
-        for _ in range(REPEATS):
-            for label, tree in trees.items():
+        for repeat in range(REPEATS):
+            for label, tree in order if repeat % 2 == 0 else order[::-1]:
                 work = Path(scratch) / label
                 work.mkdir(exist_ok=True)
                 for row, command in _cold_commands(tree, work).items():
@@ -233,7 +236,7 @@ def main(argv=None) -> int:
     import numpy
 
     report = {
-        "statistic": f"minimum of {REPEATS} runs",
+        "statistic": f"minimum of {REPEATS} runs, tree order reversed every other round",
         "columns": list(trees),
         "host": {
             "machine": platform.machine(),

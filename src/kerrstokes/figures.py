@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pulse import Envelope, PulseSpec
+from .pulse import PulseSpec
 from .kernel import RelaxationKernel
 from .scenario import BeamSplitter, OmegaGrid, ScenarioConfig, ScenarioKind
 from .spectra import StokesIndex
@@ -35,10 +35,6 @@ class FigurePreset:
     configs: tuple[ScenarioConfig, ...]
 
 
-def _pulse(n0, gamma=0.0, gamma_x=0.0, phi_lin=0.0):
-    return PulseSpec(n0=n0, envelope=Envelope(), gamma=gamma, gamma_x=gamma_x, phi_lin=phi_lin)
-
-
 def _config(kind, pulses, omega0, stokes_index=StokesIndex.S2, beamsplitter=None):
     """One curve: a scenario on the standard medium and grid."""
     return ScenarioConfig(
@@ -56,7 +52,7 @@ def _coh_sq_family(omega0):
     # Weak coherent reference (nbar1 = 1) against a bright Kerr pulse whose
     # peak SPM phase steps through 0.5 .. 3 rad.
     return tuple(
-        _config(ScenarioKind.COH_SQ, (_pulse(1.0), _pulse(100.0, gamma=phi0 / 200.0)), omega0)
+        _config(ScenarioKind.COH_SQ, (PulseSpec(1.0), PulseSpec(100.0, gamma=phi0 / 200.0)), omega0)
         for phi0 in (0.5, 1.0, 2.0, 3.0)
     )
 
@@ -66,7 +62,9 @@ def _two_sq_family(omega0):
     # while its intensity grows as k * 100, k = 1, 2, 3, 5, 7.
     return tuple(
         _config(
-            ScenarioKind.TWO_SQ, (_pulse(100.0, gamma=0.01), _pulse(100.0 * k, gamma=0.005)), omega0
+            ScenarioKind.TWO_SQ,
+            (PulseSpec(100.0, gamma=0.01), PulseSpec(100.0 * k, gamma=0.005)),
+            omega0,
         )
         for k in (1.0, 2.0, 3.0, 5.0, 7.0)
     )
@@ -78,7 +76,10 @@ def _xpm_intensity_family():
     return tuple(
         _config(
             ScenarioKind.XPM,
-            (_pulse(100.0, gamma=0.01, gamma_x=0.005), _pulse(100.0 * k, gamma=0.04, gamma_x=0.005)),
+            (
+                PulseSpec(100.0, gamma=0.01, gamma_x=0.005),
+                PulseSpec(100.0 * k, gamma=0.04, gamma_x=0.005),
+            ),
             0.0,
         )
         for k in (0.25, 0.5, 1.0, 3.0)
@@ -90,7 +91,10 @@ def _xpm_coupling_family():
     return tuple(
         _config(
             ScenarioKind.XPM,
-            (_pulse(100.0, gamma=0.01, gamma_x=0.005), _pulse(100.0, gamma=0.01 * m, gamma_x=0.005)),
+            (
+                PulseSpec(100.0, gamma=0.01, gamma_x=0.005),
+                PulseSpec(100.0, gamma=0.01 * m, gamma_x=0.005),
+            ),
             0.0,
         )
         for m in (2, 3, 4, 5, 6, 7)
@@ -106,7 +110,7 @@ def _bs_s01_family(index, omega0):
     return tuple(
         _config(
             ScenarioKind.BS_INTERF,
-            (_pulse(1.0, gamma=0.45), _pulse(n2, gamma=0.45), _pulse(0.0)),
+            (PulseSpec(1.0, gamma=0.45), PulseSpec(n2, gamma=0.45), PulseSpec(0.0)),
             omega0,
             index,
             BeamSplitter(0.5, 0.5),
@@ -123,9 +127,9 @@ def _bs_s2_family():
         _config(
             ScenarioKind.BS_INTERF,
             (
-                _pulse(100.0, gamma=phi0 / 200.0, phi_lin=0.5 * math.pi),
-                _pulse(100.0, gamma=phi0 / 200.0),
-                _pulse(100.0),
+                PulseSpec(100.0, gamma=phi0 / 200.0, phi_lin=0.5 * math.pi),
+                PulseSpec(100.0, gamma=phi0 / 200.0),
+                PulseSpec(100.0),
             ),
             0.0,
             StokesIndex.S2,

@@ -53,9 +53,10 @@ def fourier_g_closed(omega):
 
 @dataclass(frozen=True)
 class RelaxationKernel:
-    """Exponentially relaxing Kerr response with relaxation time ``tau_r`` > 0."""
+    """Exponentially relaxing Kerr response with relaxation time ``tau_r`` > 0
+    (default 1, so that Omega = omega * tau_r is the frequency itself)."""
 
-    tau_r: float
+    tau_r: float = 1.0
 
     def __post_init__(self):
         if not (isinstance(self.tau_r, (int, float)) and math.isfinite(self.tau_r)):

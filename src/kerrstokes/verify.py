@@ -42,7 +42,6 @@ from .scenario import BeamSplitter, OmegaGrid, ScenarioConfig, ScenarioKind, run
 from .spectra import (
     CorrelationKernel,
     StokesIndex,
-    kernel_bs_s01,
     kernel_two_sq,
     kernel_xpm,
     spectrum,
@@ -436,10 +435,6 @@ def _check_probe_independence(col: _Collector):
     )
     identical = True
     for which in (StokesIndex.S0, StokesIndex.S1):
-        kernels = [kernel_bs_s01(p1, p2, bs, 0.0, which) for _ in probes]
-        base = kernels[0]
-        identical &= all(k.a_h == base.a_h and k.b_g == base.b_g for k in kernels)
-        # The full scenario path must show the same independence.
         series = [
             run(replace(config, stokes_index=which, pulses=(p1, p2, p3))).spectrum.values
             for p3 in probes
@@ -449,7 +444,7 @@ def _check_probe_independence(col: _Collector):
         "bs-s01-probe-independence",
         identical,
         None,
-        "S0/S1 kernels and spectra are bit-identical under probe changes",
+        "S0/S1 spectra from run() are bit-identical under probe changes",
     )
 
 

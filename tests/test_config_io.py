@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from kerrstokes.cli import EXIT_VALIDATION, main
 from kerrstokes.config_io import dump_reference_path, load_config
 from kerrstokes.errors import ConfigParseError, ConfigValidationError
-from kerrstokes.scenario import MAX_GRID_POINTS, ScenarioKind
+from kerrstokes.kernel import RelaxationKernel
+from kerrstokes.pulse import PulseSpec
+from kerrstokes.scenario import MAX_GRID_POINTS, OmegaGrid, ScenarioKind
 from kerrstokes.spectra import StokesIndex
 
 GOOD = """\
@@ -66,6 +69,10 @@ def test_defaults_fill_missing_sections(tmp_path):
     assert cfg.medium.tau_r == 1.0
     assert (cfg.omega_grid.start, cfg.omega_grid.stop, cfg.omega_grid.count) == (0.0, 5.0, 512)
     assert cfg.omega0 is None and cfg.normalization is None
+    # the defaults live on the dataclasses, not in the loader
+    assert cfg.medium == RelaxationKernel()
+    assert cfg.omega_grid == OmegaGrid()
+    assert cfg.pulses[0] == PulseSpec(1.0)
 
 
 def test_inline_comments_are_stripped(tmp_path):
@@ -138,6 +145,18 @@ def test_wrong_pulse_count_for_kind(tmp_path):
     with pytest.raises(ConfigValidationError) as excinfo:
         load_config(write(tmp_path, text))
     assert "pulses" in issue_fields(excinfo)
+
+
+def test_gap_in_pulse_sections_rejected(tmp_path, capsys):
+    """pulse1 + pulse3 is not pulse1..pulse2: pulse3 is not renumbered."""
+    text = "[scenario]\nkind = coh_sq\n[pulse1]\nn0 = 1\n[pulse3]\nn0 = 50\ngamma = 0.01\n"
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigValidationError) as excinfo:
+        load_config(path)
+    assert issue_fields(excinfo) == ["pulses"]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
+    assert not (tmp_path / "x.csv").exists()
+    assert '"pulses"' in capsys.readouterr().err
 
 
 def test_beamsplitter_requires_both_coefficients(tmp_path):
