@@ -18,9 +18,11 @@ rows are measured, each as the minimum of ``REPEATS`` runs:
   and one ``optimal_phase_bs_s2`` call on quadrature-locked pulses with S3
   selected, the kernel build (``kernel_two_sq``), ``spectrum`` on the
   default 512-point grid, the CSV write, one in-process ``kerrstokes run``
-  export of 10^5 points to CSV and to JSON, and ``verify.run_checks()``
-  (the cold ``verify`` row without start-up and JSON output), each timed
-  with ``timeit`` over enough calls to last at least 0.2 s.
+  export of 10^5 points to CSV and to JSON, one scalar ``wk_numeric`` call
+  (the quadrature oracle at one frequency, default node count) and
+  ``verify.run_checks()`` (the cold ``verify`` row without start-up and
+  JSON output), each timed with ``timeit`` over enough calls to last at
+  least 0.2 s.
 
 Both kinds of runs are interleaved across trees, round by round, so every
 column is measured in the same window on the same host; the order of the
@@ -94,10 +96,12 @@ def measure_layers(tree: Path) -> dict[str, float]:
 
     from kerrstokes.cli import _write_spectrum_csv, main
     from kerrstokes.config_io import load_config
+    from kerrstokes.kernel import RelaxationKernel
     from kerrstokes.optimize import optimal_phase_bs_s01, optimal_phase_bs_s2, optimal_phase_two_sq
+    from kerrstokes.oracle import wk_numeric
     from kerrstokes.pulse import PulseSpec
     from kerrstokes.scenario import run, validate
-    from kerrstokes.spectra import StokesIndex, kernel_two_sq, spectrum
+    from kerrstokes.spectra import CorrelationKernel, StokesIndex, kernel_two_sq, spectrum
     from kerrstokes.verify import run_checks
 
     warnings.simplefilter("ignore")  # physics warnings are not what is timed
@@ -154,6 +158,8 @@ def measure_layers(tree: Path) -> dict[str, float]:
                         raise RuntimeError(f"kerrstokes {' '.join(argv)} failed")
 
             rows[f"export {fmt} 100000 points"] = per_call(export)
+    mixed, relax = CorrelationKernel(0.7, 1.3), RelaxationKernel(1.0)
+    rows["wk_numeric one frequency"] = per_call(lambda: wk_numeric(mixed, relax, 2.0))
     rows["verify run_checks()"] = per_call(run_checks)
     return rows
 

@@ -21,8 +21,9 @@ only ``kind``, ``n0``, ``r`` and ``t`` are required.
 The Kerr couplings can be given directly (``gamma``) or as a nonlinearity
 coefficient times the propagation length (``beta`` and ``length``), which
 are folded into ``gamma = beta * length`` while parsing; giving both forms
-for one pulse is rejected.  Unknown sections or keys are rejected too, so
-typos do not silently fall back to defaults.
+for one pulse, or a ``length`` with no beta, is rejected.  Unknown sections
+or keys are rejected too, ``[DEFAULT]`` among them, so typos do not
+silently fall back to defaults.
 
 Error classes: unreadable text or non-numeric values raise
 :class:`~kerrstokes.errors.ConfigParseError`, naming the first malformed
@@ -86,7 +87,11 @@ def load_config(path) -> ScenarioConfig:
     config still has to pass :func:`kerrstokes.scenario.validate` (the CLI
     runs it; library users should too).
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # No file can name a section with a newline, so [DEFAULT] is an ordinary
+    # (unknown) section whose keys do not leak into the others.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section="\n"
+    )
     with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             parser.read_file(handle)
@@ -136,6 +141,9 @@ def load_config(path) -> ScenarioConfig:
 
     def _pulse(section, keys):
         length = keys.pop("length", None)
+        if length is not None and "beta" not in keys and "beta_x" not in keys:
+            hint = "has no beta or beta_x to fold into"
+            issues.append(ValidationIssue(f"{section}.length", hint))
         for direct, beta in (("gamma", "beta"), ("gamma_x", "beta_x")):
             if beta not in keys:
                 continue

@@ -4,9 +4,11 @@ Two deliberately separate routes live here and must never be folded into
 the analytic code paths they validate:
 
 * :func:`wk_numeric` computes the fluctuation spectrum directly as the
-  Fourier integral of the correlation kernel (composite Simpson rule on a
-  symmetric truncated grid, implemented in this module in a few lines of
-  numpy), bypassing the Lorentzian closed forms.
+  Fourier integral of the correlation kernel, bypassing the Lorentzian
+  closed forms.  The kernel is even, so the integral is twice a cosine
+  transform over tau >= 0 (composite Simpson rule on the truncated half
+  grid, implemented in this module in a few lines of numpy); evenness is
+  checked bit for bit on every call, not assumed.
 * :func:`mc_coherent_phasor` forms average Stokes parameters of two
   overlapped coherent pulses from complex phasor arithmetic on their two
   amplitudes, bypassing the trigonometric mean-value formulas.
@@ -51,37 +53,54 @@ def _simpson(y: np.ndarray, dx: float):
 def wk_numeric(
     kern: CorrelationKernel,
     relax: RelaxationKernel,
-    omega: float,
+    omega,
     points: int = QUADRATURE_POINTS,
-) -> float:
+):
     """Spectrum S(Omega) by direct quadrature of the correlation kernel.
 
-    Integrates [a_h h(tau) + b_g g(tau)] e^{i omega tau / tau_r} over the
-    truncated symmetric window and adds the delta-term contribution of 1.
-    The grid is built around tau = 0 so positive and negative nodes pair
-    exactly; the imaginary part then cancels by evenness and is required
-    to come out below 1e-12.  ``points``, the number of Simpson nodes, must
-    be odd and at least 4001.
+    The kernel k(tau) = a_h h(tau) + b_g g(tau) is even, so its Fourier
+    integral over the truncated symmetric window |tau| <= 40 tau_r is twice
+    a cosine transform over the half window:
+
+        S(Omega) = 1 + 2 * simpson(k(tau) cos(Omega tau / tau_r)),
+        tau = j * step, j = 0 .. points // 2,
+
+    the 1 being the delta-term contribution.  These nodes are the tau >= 0
+    half of a ``points``-node grid centred on tau = 0.  The kernel is
+    sampled once per call, at tau and at -tau; unless the two samples are
+    bit-identical the call raises ArithmeticError, since the cosine form
+    holds for an even kernel only.
+
+    ``omega`` is a number or a 1-D array of finite values >= 0, and the
+    result is of the same kind: a float, or an array of one S per entry.
+    ``points``, the node count of the full grid, must be an integer >= 4001
+    with ``points % 4 == 1``, so that the half grid has an odd node count
+    and its Simpson sum is half that of the full grid.
     """
-    if not isinstance(points, int) or points < 4001 or points % 2 == 0:
-        raise ValueError(f"points must be an odd integer >= 4001, got {points!r}")
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega >= 0.0):
-        raise ValueError(f"omega must be a finite number >= 0, got {omega!r}")
-    half_width = QUADRATURE_TRUNCATION * relax.tau_r
+    if not isinstance(points, int) or points < 4001 or points % 4 != 1:
+        raise ValueError(f"points must be an integer >= 4001 with points % 4 == 1, got {points!r}")
+    scalar = isinstance(omega, (int, float))
+    values = np.asarray(omega)
+    if not (
+        (scalar or (values.ndim == 1 and values.dtype.kind in "fiu"))
+        and np.all(np.isfinite(values))
+        and np.all(values >= 0.0)
+    ):
+        raise ValueError(f"omega must be a number or a 1-D array, finite and >= 0, got {omega!r}")
     mid = points // 2
-    step = half_width / mid
-    tau = (np.arange(points) - mid) * step
-    angular = omega / relax.tau_r
-    integrand = (kern.a_h * relax.h(tau) + kern.b_g * relax.g(tau)) * np.exp(
-        1j * angular * tau
-    )
-    integral = complex(_simpson(integrand, step))
-    if abs(integral.imag) > 1e-12:
-        raise ArithmeticError(
-            f"odd-part residue {integral.imag:g} in an even integrand; "
-            "quadrature grid is not symmetric"
-        )
-    return 1.0 + integral.real
+    step = QUADRATURE_TRUNCATION * relax.tau_r / mid
+    tau = np.arange(mid + 1) * step
+    kernel = kern.a_h * relax.h(tau) + kern.b_g * relax.g(tau)
+    if not np.array_equal(kernel, kern.a_h * relax.h(-tau) + kern.b_g * relax.g(-tau)):
+        raise ArithmeticError("correlation kernel is not even; the cosine transform does not apply")
+    work = np.empty_like(tau)
+    spectrum = np.empty(values.shape)
+    for index, value in np.ndenumerate(values):
+        np.multiply(value / relax.tau_r, tau, out=work)
+        np.cos(work, out=work)
+        work *= kernel
+        spectrum[index] = 1.0 + 2.0 * _simpson(work, step)
+    return float(spectrum) if scalar else spectrum
 
 
 def mc_coherent_phasor(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:

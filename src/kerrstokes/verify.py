@@ -92,10 +92,8 @@ def _check_fourier_pairs(col: _Collector, tau_r_mismatch: float):
             ("g", (0.0, 1.0), fourier_g_closed),
         ):
             kern = CorrelationKernel(coeffs[0], coeffs[1])
-            worst = 0.0
-            for omega in omegas:
-                numeric = wk_numeric(kern, relax, float(omega) * tau_r_mismatch)
-                worst = max(worst, abs(numeric - (1.0 + closed(float(omega)))))
+            numeric = wk_numeric(kern, relax, omegas * tau_r_mismatch)
+            worst = float(np.max(np.abs(numeric - (1.0 + closed(omegas)))))
             col.add(
                 f"fourier-pair-{label}-tau{tau_r:g}",
                 worst < FOURIER_TOL,

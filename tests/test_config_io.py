@@ -100,6 +100,20 @@ def test_beta_without_length_is_an_error(tmp_path):
     assert "pulse2.beta" in issue_fields(excinfo)
 
 
+def test_length_without_beta_is_an_error(tmp_path, capsys):
+    text = (
+        "[scenario]\nkind = coh_sq\n[pulse1]\nn0 = 1\n"
+        "[pulse2]\nn0 = 50\ngamma = 0.01\nlength = 25\n"
+    )
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigValidationError) as excinfo:
+        load_config(path)
+    assert issue_fields(excinfo) == ["pulse2.length"]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
+    assert not (tmp_path / "x.csv").exists()
+    assert '"pulse2.length"' in capsys.readouterr().err
+
+
 def test_gamma_and_beta_together_rejected(tmp_path):
     text = (
         "[scenario]\nkind = coh_sq\n[pulse1]\nn0 = 1\n"
@@ -132,6 +146,17 @@ def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigValidationError) as excinfo:
         load_config(write(tmp_path, text))
     assert "laser" in issue_fields(excinfo)
+
+
+def test_default_section_is_unknown_and_not_merged(tmp_path):
+    text = (
+        "[DEFAULT]\nn0 = 5\n[scenario]\nkind = coh_sq\n"
+        "[pulse1]\nn0 = 1\n[pulse2]\nn0 = 50\n"
+    )
+    with pytest.raises(ConfigValidationError) as excinfo:
+        load_config(write(tmp_path, text))
+    assert issue_fields(excinfo) == ["DEFAULT"]
+    assert "unknown section" in excinfo.value.issues[0].message
 
 
 def test_missing_scenario_section(tmp_path):

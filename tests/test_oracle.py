@@ -12,7 +12,13 @@ import pytest
 import kerrstokes
 from kerrstokes.errors import ScenarioContractError
 from kerrstokes.kernel import RelaxationKernel, fourier_g_closed, fourier_h_closed
-from kerrstokes.oracle import QUADRATURE_POINTS, _simpson, mc_coherent_phasor, wk_numeric
+from kerrstokes.oracle import (
+    QUADRATURE_POINTS,
+    QUADRATURE_TRUNCATION,
+    _simpson,
+    mc_coherent_phasor,
+    wk_numeric,
+)
 from kerrstokes.pulse import PulseSpec
 from kerrstokes.spectra import CorrelationKernel
 from kerrstokes.stokes import averages_coh_sq
@@ -26,7 +32,7 @@ def make_kernel(a_h, b_g):
 
 class TestQuadraturePoints:
     def test_defaults_are_valid(self):
-        assert QUADRATURE_POINTS % 2 == 1 and QUADRATURE_POINTS >= 4001
+        assert QUADRATURE_POINTS % 4 == 1 and QUADRATURE_POINTS >= 4001
         assert wk_numeric(make_kernel(0.0, 0.0), RELAX, 1.0) == 1.0
 
     @pytest.mark.parametrize(
@@ -36,11 +42,74 @@ class TestQuadraturePoints:
             {"points": 20000},
             {"points": 2001},
             {"points": 20001.0},
+            {"points": 4003},  # odd, but the half grid would have an even node count
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError, match="points"):
             wk_numeric(make_kernel(0.7, -0.2), RELAX, 1.0, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [-0.5, math.nan, math.inf, np.array([0.0, -1.0]), np.array([1.0, math.nan]),
+     np.ones((2, 3)), np.array(1.0), "1.0", None, np.array([1.0 + 0.5j])],
+    ids=["negative", "nan", "inf", "negative-entry", "nan-entry", "2-d", "0-d-array",
+         "string", "none", "complex"],
+)
+def test_rejects_bad_frequencies(omega):
+    with pytest.raises(ValueError, match="omega"):
+        wk_numeric(make_kernel(0.7, -0.2), RELAX, omega)
+
+
+def _full_grid_reference(kern, relax, omega, points):
+    """The complex full-grid route: Simpson over all ``points`` nodes of
+    k(tau) e^{i Omega tau / tau_r}, real part kept."""
+    mid = points // 2
+    step = QUADRATURE_TRUNCATION * relax.tau_r / mid
+    tau = (np.arange(points) - mid) * step
+    integrand = (kern.a_h * relax.h(tau) + kern.b_g * relax.g(tau)) * np.exp(
+        1j * (omega / relax.tau_r) * tau
+    )
+    return 1.0 + complex(_simpson(integrand, step)).real
+
+
+@pytest.mark.parametrize("points", [4001, 20001, 40001])
+def test_half_grid_cosine_matches_full_grid_complex_route(points):
+    rng = np.random.default_rng(1500 + points)
+    for _ in range(50):
+        kern = make_kernel(float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, 3.0)))
+        relax = RelaxationKernel(float(rng.uniform(0.5, 2.0)))
+        omega = float(rng.uniform(0.0, 5.0))
+        got = wk_numeric(kern, relax, omega, points=points)
+        assert abs(got - _full_grid_reference(kern, relax, omega, points)) <= 1e-13
+
+
+def test_frequency_array_equals_scalar_calls_bit_for_bit():
+    kern = make_kernel(0.7, 1.3)
+    relax = RelaxationKernel(0.8)
+    omegas = np.concatenate([np.linspace(0.0, 5.0, 21), [7.25, 0.125]])
+    got = wk_numeric(kern, relax, omegas)
+    assert isinstance(got, np.ndarray) and got.shape == omegas.shape
+    assert got.tolist() == [wk_numeric(kern, relax, float(om)) for om in omegas]
+    assert wk_numeric(kern, relax, [0, 2]).tolist() == [
+        wk_numeric(kern, relax, 0), wk_numeric(kern, relax, 2)
+    ]
+    assert wk_numeric(kern, relax, np.array([])).shape == (0,)
+    assert type(wk_numeric(kern, relax, 2)) is float
+
+
+def test_kernel_that_is_not_even_is_rejected():
+    class SkewedRelaxation(RelaxationKernel):
+        def g(self, tau):
+            return super().g(tau) * (1.0 + 1e-3 * np.tanh(tau))
+
+    with pytest.raises(ArithmeticError, match="not even"):
+        wk_numeric(make_kernel(0.7, 1.3), SkewedRelaxation(1.0), 1.0)
+    # with b_g = 0 the skewed g carries no weight and the kernel stays even
+    assert wk_numeric(make_kernel(1.0, 0.0), SkewedRelaxation(1.0), 1.0) == wk_numeric(
+        make_kernel(1.0, 0.0), RELAX, 1.0
+    )
 
 
 def test_quadrature_reproduces_lorentzian_transforms():
