@@ -21,9 +21,11 @@ only ``kind``, ``n0``, ``r`` and ``t`` are required.
 The Kerr couplings can be given directly (``gamma``) or as a nonlinearity
 coefficient times the propagation length (``beta`` and ``length``), which
 are folded into ``gamma = beta * length`` while parsing; giving both forms
-for one pulse, or a ``length`` with no beta, is rejected.  Unknown sections
-or keys are rejected too, ``[DEFAULT]`` among them, so typos do not
-silently fall back to defaults.
+for one pulse, or a ``length`` with no beta, is rejected.  So is a
+``tau_p`` on a pulse whose envelope is constant, given or by default: a
+constant envelope has no duration, and the value would be dropped.
+Unknown sections or keys are rejected too, ``[DEFAULT]`` among them, so
+typos do not silently fall back to defaults.
 
 Error classes: unreadable text or non-numeric values raise
 :class:`~kerrstokes.errors.ConfigParseError`, naming the first malformed
@@ -159,6 +161,9 @@ def load_config(path) -> ScenarioConfig:
         envelope = {"shape": keys.pop("envelope")} if "envelope" in keys else {}
         if "tau_p" in keys:
             envelope["tau_p"] = keys.pop("tau_p")
+            if envelope.get("shape", Envelope.shape) is EnvelopeShape.CONSTANT:
+                hint = "has no gaussian or sech envelope to shape"
+                issues.append(ValidationIssue(f"{section}.tau_p", hint))
         keys["envelope"] = _build(Envelope, f"{section}.tau_p", **envelope)
         return _build(PulseSpec, section, **keys) if keys["envelope"] is not None else None
 

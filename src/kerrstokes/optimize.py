@@ -8,8 +8,17 @@ S(Omega0) with an independent numerical route: a dense scan over [0, 2pi)
 refined by a golden-section search.  Both answers are reported side by
 side in a :class:`PhaseOptimum` and never averaged or substituted for one
 another; disagreements beyond tolerance are flagged, not hidden.  The
-single-port kinds coh_sq, two_sq and xpm share one optimizer body; only
-coh_sq keeps a closed form of its own (see :func:`optimal_phase_coh_sq`).
+single-port kinds coh_sq, two_sq and xpm share one optimizer body.
+
+Each closed form is one plain function of numpy scalars and L(Omega0):
+:func:`_single_port_closed` (two_sq, xpm), :func:`_bs_s01_closed` and
+:func:`_probe_closed`, a coherent probe beating Kerr noise at a fringe
+contrast.  coh_sq is the probe form with (nbar1, phi2) at contrast 1 and
+beam-splitter S2 the same form with (nbar3, phi) at contrast R - T, so at
+R = 1 the two optimizers give the same bits.  coh_sq does not use the
+general single-port form (an ulp away), so ``verify``'s reduction of two_sq
+to coh_sq compares two routes.  ``_optimize`` checks Omega0, then the
+scenario contract, for every optimizer.
 
 Each family's offset convention is one :class:`Offset` record
 ``(free, anchor, sign)``, pulses counted from 0: the offset sets the free
@@ -203,13 +212,19 @@ def scan_phase(coefficients, omega0: float):
     return float(phi % TWO_PI), float(s_min)
 
 
-def _optimize(family, offset: Offset, pulses, omega0: float, index: StokesIndex, closed):
+def _optimize(family, offset: Offset, pulses, omega0: float, index: StokesIndex, closed, contract):
     """The optimum of ``family`` at ``omega0``, scanned under ``offset``.
 
-    ``closed(lor0)`` returns the S2 closed form ``(delta_phi, s_min, *flags)``
-    at L(Omega0) = lor0 > 0, or None when the spectrum is flat.  A
-    non-finite closed minimum raises ValueError before the scan runs.
+    ``omega0`` is checked first, then the first of the ``contract`` messages
+    (the violated preconditions of the closed form; empty when it has none)
+    is raised as a ScenarioContractError.  ``closed(lor0)`` returns the S2
+    closed form ``(delta_phi, s_min, *flags)`` at L(Omega0) = lor0 > 0, or
+    None when the spectrum is flat.  A non-finite closed minimum raises
+    ValueError before the scan runs.
     """
+    _check_omega0(omega0)
+    if contract:
+        raise ScenarioContractError(contract[0])
 
     def coefficients(delta_phi):
         return family(offset.phase(pulses, delta_phi))
@@ -240,55 +255,93 @@ def _optimize(family, offset: Offset, pulses, omega0: float, index: StokesIndex,
     )
 
 
-def _optimal_single_port(
-    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, index: StokesIndex,
-    include_xpm: bool, coherent: bool = False,
-) -> PhaseOptimum:
-    """Optimal phi_lin2 - phi_lin1 of the single-port family.
+# The closed forms below take numpy scalars (and L0 = lor0 > 0), so that they
+# overflow to inf rather than raise; each returns (delta_phi, s_min, *flags)
+# for S2, or None when the spectrum is flat.
 
-    With imbalance D = nbar1 phi2 - nbar2 phi1 and g-kernel weight
-    Sigma_x = nbar1 (phi2^2 + phix2^2) + nbar2 (phi1^2 + phix1^2), the
-    cross phases phix being 0 unless ``include_xpm`` is set, the S2 optimum is
 
-        delta_phi_opt = arctan(D / (L0 Sigma_x)) / 2
-                        + phi1 - phi2 - phix1 + phix2
+def _probe_closed(n, phi, contrast, lor0):
+    """A coherent probe of n photons beating Kerr noise of SPM phase phi at
+    fringe contrast ``contrast``: coh_sq is (nbar1, phi2, 1), beam-splitter
+    S2 on its contract is (nbar3, phi, R - T).
+
+        delta_phi_opt = arctan(1 / (contrast phi L0)) / 2 - phi
+                        (pi/4 - phi at contrast 0)
+        s_min = 1 + 2 n phi^2 L0^2 - 2 n phi L0 sqrt(1 + contrast^2 phi^2 L0^2)
+
+    n phi = 0 (no Kerr noise to beat against) is flat.
+    """
+    if n * phi == 0.0:
+        return None
+    total = 0.25 * math.pi if contrast == 0.0 else 0.5 * math.atan(1.0 / (contrast * phi * lor0))
+    root = math.sqrt(1.0 + contrast**2 * phi**2 * lor0**2)
+    return total - phi, 1.0 + 2.0 * n * phi**2 * lor0**2 - 2.0 * n * phi * lor0 * root
+
+
+def _single_port_closed(n1, n2, phi1, phi2, phix1, phix2, lor0):
+    """With imbalance D = nbar1 phi2 - nbar2 phi1 and g-kernel weight
+    Sigma_x = nbar1 (phi2^2 + phix2^2) + nbar2 (phi1^2 + phix1^2):
+
+        delta_phi_opt = arctan(D / (L0 Sigma_x)) / 2 + phi1 - phi2 - phix1 + phix2
         s_min = 1 + 2 Sigma_x L0^2 - 2 L0 sqrt(D^2 + L0^2 Sigma_x^2)
 
-    which S3 reaches too.  S0 and S1 are conserved, so their optimum is
-    degenerate.  A ``coherent`` pulse 1 (coh_sq) uses the special case of
-    :func:`optimal_phase_coh_sq` instead.
+    Sigma_x = 0 is flat.
     """
-    _check_omega0(omega0)
-    family = single_port_family(p1, p2, t, index, include_xpm)
+    imbalance = n1 * phi2 - n2 * phi1
+    weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
+    if weight == 0.0:
+        return None
+    delta_phi = 0.5 * math.atan(imbalance / (lor0 * weight)) + phi1 - phi2 - phix1 + phix2
+    root = math.sqrt(imbalance**2 + (lor0 * weight) ** 2)
+    return delta_phi, 1.0 + 2.0 * weight * lor0**2 - 2.0 * lor0 * root
+
+
+def _bs_s01_closed(n1, n2, phi1, phi2, ref, trans, sign, lor0):
+    """Beam-splitter S0 (``sign`` +1) or S1 (-1) on the balance manifold,
+    R = ``ref`` and T = ``trans``.  The spectrum is quadratic in
+    cos(Delta Phi) with vertex
+
+        C = (R nbar1 +/- T nbar2) / (2 (nbar1 + nbar2) phi1 L0)
+            * sqrt(nbar1 / (R T nbar2))
+        delta_phi_opt = arccos(C) - phi1 + phi2
+        s_min = 1 - (R nbar1 +/- T nbar2)^2 / (nbar1 + nbar2)
+
+    independent of L0.  When |C| > 1, or C is x / 0, the vertex has no
+    phase: delta_phi_opt is nan and flagged "arccos-domain".  R T = 0 or no
+    Kerr noise is flat.
+    """
+    weight = n1 * phi2**2 + n2 * phi1**2
+    if ref * trans == 0.0 or weight == 0.0:
+        return None
+    numerator = ref * n1 + sign * trans * n2
+    denominator = 2.0 * (n1 + n2) * phi1 * lor0
+    s_closed = 1.0 - numerator**2 / (n1 + n2)
+    if denominator == 0.0:  # phi1 = 0: C = x / 0 or 0 / 0, no vertex to take arccos of
+        return math.nan, s_closed, "arccos-domain"
+    vertex_cos = numerator / denominator * math.sqrt(n1 / (ref * trans * n2))
+    if not abs(vertex_cos) <= 1.0:  # nan too: inf / inf once the numbers overflow
+        return math.nan, s_closed, "arccos-domain"
+    return math.acos(vertex_cos) - phi1 + phi2, s_closed
+
+
+def _optimal_single_port(
+    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, index: StokesIndex, xpm: bool, form
+) -> PhaseOptimum:
+    """Optimal phi_lin2 - phi_lin1 of the single-port family, the cross
+    phases phix being 0 unless ``xpm`` is set.
+
+    ``form(nbar1, nbar2, phi1, phi2, phix1, phix2, lor0)`` is the S2 closed
+    form, which S3 reaches too.  S0 and S1 are conserved, so their optimum
+    is degenerate.
+    """
+    family = single_port_family(p1, p2, t, index, xpm)
 
     def closed(lor0):
         if index in (StokesIndex.S0, StokesIndex.S1):
             return None
-        # numpy scalars, so that the closed form overflows to inf (see _optimize)
-        n1, n2, phi1, phi2, phix1, phix2 = map(
-            np.float64, _single_port_scalars(p1, p2, t, include_xpm)
-        )
-        imbalance = n1 * phi2 - n2 * phi1
-        weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
-        if (n1 * phi2 if coherent else weight) == 0.0:
-            return None
-        if coherent:  # the general form would move s_min by one ulp
-            delta_phi = 0.5 * math.atan(1.0 / (lor0 * phi2)) - phi2
-            s_closed = (
-                1.0
-                + 2.0 * n1 * phi2**2 * lor0**2
-                - 2.0 * n1 * phi2 * lor0 * math.sqrt(1.0 + phi2**2 * lor0**2)
-            )
-        else:
-            delta_phi = 0.5 * math.atan(imbalance / (lor0 * weight)) + phi1 - phi2 - phix1 + phix2
-            s_closed = (
-                1.0
-                + 2.0 * weight * lor0**2
-                - 2.0 * lor0 * math.sqrt(imbalance**2 + (lor0 * weight) ** 2)
-            )
-        return delta_phi, s_closed
+        return form(*map(np.float64, _single_port_scalars(p1, p2, t, xpm)), lor0)
 
-    return _optimize(family, SINGLE_PORT_OFFSET, (p1, p2), omega0, index, closed)
+    return _optimize(family, SINGLE_PORT_OFFSET, (p1, p2), omega0, index, closed, ())
 
 
 def optimal_phase_coh_sq(
@@ -296,17 +349,22 @@ def optimal_phase_coh_sq(
 ) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 for the coherent + Kerr-squeezed scenario.
 
-    S2 closed form: delta_phi_opt = arctan(1 / (L0 phi2)) / 2 - phi2, reaching
+    The S2 closed form is :func:`_probe_closed` with (nbar1, phi2) at
+    contrast 1,
 
-        s_min = 1 + 2 nbar1 phi2^2 L0^2
-                  - 2 nbar1 phi2 L0 sqrt(1 + phi2^2 L0^2),
+        delta_phi_opt = arctan(1 / (L0 phi2)) / 2 - phi2
+        s_min = 1 + 2 nbar1 phi2^2 L0^2 - 2 nbar1 phi2 L0 sqrt(1 + phi2^2 L0^2),
 
-    which S3 reaches too.  With phi2 = 0 the pulse pair carries no Kerr
-    noise at all and the spectrum is identically 1 (degenerate optimum), as
-    it is for S0, S1 and L0 = 0.
+    which S3 reaches too; the general single-port form would move s_min by
+    one ulp.  With phi2 = 0 the pulse pair carries no Kerr noise at all and
+    the spectrum is identically 1 (degenerate optimum), as it is for S0, S1
+    and L0 = 0.
     """
     _require_coherent(p1, "pulse 1")
-    return _optimal_single_port(p1, p2, t, omega0, index, include_xpm=False, coherent=True)
+    return _optimal_single_port(
+        p1, p2, t, omega0, index, False,
+        lambda n1, n2, phi1, phi2, phix1, phix2, lor0: _probe_closed(n1, phi2, 1.0, lor0),
+    )
 
 
 def optimal_phase_two_sq(
@@ -314,14 +372,14 @@ def optimal_phase_two_sq(
 ) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 of ``index`` for two Kerr-squeezed pulses
     (phix = 0; any gamma_x is ignored)."""
-    return _optimal_single_port(p1, p2, t, omega0, index, include_xpm=False)
+    return _optimal_single_port(p1, p2, t, omega0, index, False, _single_port_closed)
 
 
 def optimal_phase_xpm(
     p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, index: StokesIndex = StokesIndex.S2
 ) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 of ``index`` with SPM and mutual XPM."""
-    return _optimal_single_port(p1, p2, t, omega0, index, include_xpm=True)
+    return _optimal_single_port(p1, p2, t, omega0, index, True, _single_port_closed)
 
 
 def _bs_contract_issues(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex) -> list[str]:
@@ -362,49 +420,23 @@ def optimal_phase_bs_s01(
 ) -> PhaseOptimum:
     """Optimal phi_lin1 - phi_lin2 for S0 or S1 after the beam splitter.
 
-    The closed form exists on the balance manifold
+    The closed form, :func:`_bs_s01_closed`, exists on the balance manifold
     nbar1 phi2 == nbar2 phi1 (equivalent to gamma1 == gamma2 for
     overlapping pulses), where the SPM term of the h coefficient cancels
-    at every offset.  There the spectrum is quadratic in
-    cos(Delta Phi) with vertex
-
-        C = (R nbar1 +/- T nbar2) / (2 (nbar1 + nbar2) phi1 L0)
-            * sqrt(nbar1 / (R T nbar2))
-        delta_phi_opt = arccos(C) - phi1 + phi2
-        s_min = 1 - (R nbar1 +/- T nbar2)^2 / (nbar1 + nbar2)
-
-    independent of L0 > 0.  When |C| > 1 the vertex is outside the physical
-    range of the cosine; the result is flagged "arccos-domain",
-    delta_phi_opt is nan and the scan values are authoritative.  L0 = 0
-    makes S = 1 at every offset (degenerate optimum).
+    at every offset; off it a ScenarioContractError is raised.  When the
+    vertex is outside the physical range of the cosine the result is
+    flagged "arccos-domain", delta_phi_opt is nan and the scan values are
+    authoritative.  L0 = 0 makes S = 1 at every offset (degenerate optimum).
     """
     family = bs_s01_family(p1, p2, bs, t, which)
-    _check_omega0(omega0)
-
-    problems = _bs_contract_issues(p1, p2, t, which)
-    if problems:
-        raise ScenarioContractError(problems[0])
 
     def closed(lor0):
-        # numpy scalars, so that the closed form overflows to inf (see _optimize)
-        n1, n2, phi1, phi2 = map(
-            np.float64, (p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t))
-        )
+        scalars = p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
         sign = 1.0 if which is StokesIndex.S0 else -1.0
-        weight = n1 * phi2**2 + n2 * phi1**2
-        if bs.r * bs.t == 0.0 or weight == 0.0:
-            return None
-        numerator = bs.r * n1 + sign * bs.t * n2
-        denominator = 2.0 * (n1 + n2) * phi1 * lor0
-        s_closed = 1.0 - numerator**2 / (n1 + n2)
-        if denominator == 0.0:  # phi1 = 0: C = x / 0 or 0 / 0, no vertex to take arccos of
-            return math.nan, s_closed, "arccos-domain"
-        vertex_cos = numerator / denominator * math.sqrt(n1 / (bs.r * bs.t * n2))
-        if not abs(vertex_cos) <= 1.0:  # nan too: inf / inf once the numbers overflow
-            return math.nan, s_closed, "arccos-domain"
-        return math.acos(vertex_cos) - phi1 + phi2, s_closed
+        return _bs_s01_closed(*map(np.float64, scalars), bs.r, bs.t, sign, lor0)
 
-    return _optimize(family, BS_INPUT_OFFSET, (p1, p2), omega0, which, closed)
+    contract = _bs_contract_issues(p1, p2, t, which)
+    return _optimize(family, BS_INPUT_OFFSET, (p1, p2), omega0, which, closed, contract)
 
 
 def optimal_phase_bs_s2(
@@ -415,7 +447,8 @@ def optimal_phase_bs_s2(
 
     Contract: both Kerr pulses carry the same SPM phase phi and their
     linear phases are locked in quadrature, phi_lin1 - phi_lin2 = pi/2.
-    For S2 the stationarity condition cos(2 [phi + delta_phi]) =
+    The closed form is :func:`_probe_closed` with (nbar3, phi) at contrast
+    R - T, where the stationarity condition cos(2 [phi + delta_phi]) =
     (R - T) phi L0 sin(2 [phi + delta_phi]) gives
 
         delta_phi_opt = arctan(1 / ((R - T) phi L0)) / 2 - phi
@@ -423,32 +456,17 @@ def optimal_phase_bs_s2(
         s_min = 1 + 2 nbar3 phi^2 L0^2
                   - 2 nbar3 phi L0 sqrt(1 + (R - T)^2 phi^2 L0^2)
 
-    which S3 reaches too.  L0 = 0 or a probe without Kerr noise gives
+    which S3 reaches too; at R = 1 this is the coh_sq optimum with
+    (nbar1, phi2) -> (nbar3, phi).  L0 = 0 or a probe without Kerr noise gives
     a degenerate optimum.  The scan runs on the kernel of ``index`` and is
     authoritative whenever it finds a deeper minimum (flagged, see
     PhaseOptimum).
     """
     family = bs_s2_family(p1, p2, p3, bs, t, index)
-    _check_omega0(omega0)
-    problems = _bs_contract_issues(p1, p2, t, index)
-    if problems:
-        raise ScenarioContractError(problems[0])
 
-    def closed(lor0):
-        # numpy scalars, so that the closed form overflows to inf (see _optimize)
-        n3, phi = map(np.float64, (p3.mean_photons(t), p1.spm_phase(t)))  # phi2 = phi by contract
-        if n3 * phi == 0.0:
-            return None
-        rt_diff = bs.r - bs.t
-        if rt_diff == 0.0:
-            delta_phi = 0.25 * math.pi - phi
-        else:
-            delta_phi = 0.5 * math.atan(1.0 / (rt_diff * phi * lor0)) - phi
-        s_closed = (
-            1.0
-            + 2.0 * n3 * phi**2 * lor0**2
-            - 2.0 * n3 * phi * lor0 * math.sqrt(1.0 + rt_diff**2 * phi**2 * lor0**2)
-        )
-        return delta_phi, s_closed
+    def closed(lor0):  # phi2 = phi1 by contract
+        n3, phi = map(np.float64, (p3.mean_photons(t), p1.spm_phase(t)))
+        return _probe_closed(n3, phi, bs.r - bs.t, lor0)
 
-    return _optimize(family, BS_PROBE_OFFSET, (p1, p2, p3), omega0, index, closed)
+    contract = _bs_contract_issues(p1, p2, t, index)
+    return _optimize(family, BS_PROBE_OFFSET, (p1, p2, p3), omega0, index, closed, contract)

@@ -123,6 +123,14 @@ class OmegaGrid:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario: its kind, pulses, medium, and what :func:`run` computes.
+
+    ``omega_grid`` and ``omega0`` are reduced frequencies
+    Omega = omega * tau_r, so :func:`run` never reads ``medium``: its
+    ``tau_r`` changes no run or figure output.  The field records the
+    medium the reduced frequencies refer to.
+    """
+
     kind: ScenarioKind
     pulses: tuple[PulseSpec, ...]
     medium: RelaxationKernel

@@ -332,6 +332,30 @@ def test_gaussian_duration_underflow_maps_to_validation_exit(tmp_path, capsys):
     assert "pulse2.tau_p" in [i["field"] for i in stderr_error(err)["issues"]]
 
 
+def test_tau_p_on_constant_envelope_maps_to_validation_exit(tmp_path, capsys):
+    path = tmp_path / "flat.ini"
+    path.write_text(BASIC.replace("gamma = 0.005", "gamma = 0.005\ntau_p = 2.0"))
+    code, out, err = run_cli(capsys, "run", "--config", path, "--out", tmp_path / "x.csv")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert not (tmp_path / "x.csv").exists()
+    assert [i["field"] for i in stderr_error(err)["issues"]] == ["pulse2.tau_p"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_relaxation_time_changes_no_run_output(tmp_path, capsys, fmt):
+    """The grid and omega0 are reduced frequencies Omega = omega * tau_r, so
+    run() never reads [medium]: tau_r changes neither the file nor the bundle."""
+    path, out = tmp_path / "medium.ini", tmp_path / f"spec.{fmt}"
+    outputs = []
+    for tau_r in ("0.5", "2.0"):
+        path.write_text(f"{BASIC}\n[medium]\ntau_r = {tau_r}\n")
+        code, bundle, _ = run_cli(capsys, "run", "--config", path, "--out", out, "--format", fmt)
+        assert code == EXIT_OK
+        outputs.append((out.read_bytes(), bundle))
+    assert outputs[0] == outputs[1]
+
+
 def test_denormal_normalization_maps_to_validation_exit(tmp_path, capsys):
     # S - 1 divided by 1e-310 overflows to -inf, which must reach neither
     # the CSV nor the JSON document

@@ -114,6 +114,18 @@ def test_length_without_beta_is_an_error(tmp_path, capsys):
     assert '"pulse2.length"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("envelope", ["", "envelope = constant\n"], ids=["default", "constant"])
+def test_tau_p_without_shaped_envelope_is_an_error(tmp_path, envelope):
+    """A constant envelope has no duration: a tau_p beside it would be dropped."""
+    text = (
+        "[scenario]\nkind = coh_sq\n[pulse1]\nn0 = 1\n"
+        f"[pulse2]\nn0 = 100\ngamma = 0.005\n{envelope}tau_p = 2.0\n"
+    )
+    with pytest.raises(ConfigValidationError) as excinfo:
+        load_config(write(tmp_path, text))
+    assert issue_fields(excinfo) == ["pulse2.tau_p"]
+
+
 def test_gamma_and_beta_together_rejected(tmp_path):
     text = (
         "[scenario]\nkind = coh_sq\n[pulse1]\nn0 = 1\n"

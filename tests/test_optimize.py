@@ -21,7 +21,7 @@ from kerrstokes.optimize import (
     optimal_phase_xpm,
     scan_phase,
 )
-from kerrstokes.pulse import PulseSpec
+from kerrstokes.pulse import Envelope, EnvelopeShape, PulseSpec
 from kerrstokes.scenario import BeamSplitter
 from kerrstokes.spectra import (
     StokesIndex,
@@ -197,6 +197,40 @@ class TestBeamSplitterS2:
         assert opt.s_min_numeric <= opt.s_min_closed + AGREEMENT_TOL
         deeper = 1 + 2 * 100 * phi**2 - 2 * 100 * phi * math.sqrt(1 + phi**2)
         assert opt.s_min_numeric == pytest.approx(deeper, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", list(EnvelopeShape), ids=lambda shape: shape.value)
+def test_bs_s2_at_full_reflection_is_the_coh_sq_optimum_bit_for_bit(shape):
+    """On its contract at R = 1, T = 0 the beam-splitter S2/S3 closed form is
+    the coh_sq one with (nbar1, phi2) -> (nbar3, phi): both optimizers
+    evaluate the one probe form, so the minima agree bit for bit, and there
+    the published stationary point is the minimum, so no flag is raised."""
+    rng = np.random.default_rng(1701)
+    for _ in range(30):
+        envelope = Envelope() if shape is EnvelopeShape.CONSTANT else (
+            Envelope(shape, float(rng.uniform(0.5, 3.0)))
+        )
+        kerr = PulseSpec(
+            n0=float(rng.uniform(10.0, 200.0)), envelope=envelope,
+            gamma=float(rng.uniform(0.001, 0.01)), phi_lin=float(rng.uniform(0.0, 2 * math.pi)),
+        )
+        locked = PulseSpec(
+            n0=kerr.n0, envelope=envelope, gamma=kerr.gamma, phi_lin=kerr.phi_lin - 0.5 * math.pi
+        )
+        probe = PulseSpec(
+            n0=float(rng.uniform(0.2, 200.0)), envelope=envelope,
+            phi_lin=float(rng.uniform(0.0, 2 * math.pi)),
+        )
+        coherent = PulseSpec(n0=probe.n0, envelope=envelope)
+        t = float(rng.uniform(-0.5, 0.5))
+        omega0 = float(rng.uniform(0.0, 1.5))
+        for index in (StokesIndex.S2, StokesIndex.S3):
+            bs = optimal_phase_bs_s2(kerr, locked, probe, BeamSplitter(1.0, 0.0), t, omega0, index)
+            coh = optimal_phase_coh_sq(coherent, kerr, t, omega0, index)
+            assert bs.s_min_closed == coh.s_min_closed
+            assert bs.flags == coh.flags == ()
+            if index is StokesIndex.S2:
+                assert bs.delta_phi_opt == coh.delta_phi_opt
 
 
 UNIT_PAIR = single_port_family(COHERENT_UNIT, KERR_UNIT_PHI, 0.0, StokesIndex.S2, False)
