@@ -245,7 +245,9 @@ def cmd_verify(args) -> int:
         "failed": [c.name for c in report.checks if not c.passed],
         "optimizer_flags": list(report.optimizer_flags),
         "elapsed_seconds": round(report.elapsed_seconds, 3),
-        "checks": [_fields(c) for c in report.checks],
+        "checks": [
+            {**_fields(c), "elapsed_seconds": round(c.elapsed_seconds, 6)} for c in report.checks
+        ],
     }
     text = json.dumps(payload, sort_keys=True, indent=1)
     if args.out:

@@ -32,11 +32,12 @@ and :func:`kerrstokes.scenario.run`, which applies the optimum, read it.
 Each optimizer builds its family (:mod:`kerrstokes.spectra`) for the Stokes
 component it is asked for and scans it at the free phase, so the
 interference angle is computed where the kernel builders compute it; the
-coarse pass evaluates the family once on an ndarray of all offsets, and no
-pulse is rebuilt inside a scan.  S3 advances the S2 interference angle by
-pi/2, and in every family that angle falls as the free phase rises, so the
-S3 closed offset is the S2 one plus ``sign * pi/2``.  S0/S1 of the
-single-port family, a pulse pair without Kerr noise and
+coarse pass evaluates the family once on an ndarray of all offsets (numpy's
+sin, cos and pow), the golden-section refinement on floats (libm's, the same
+bits), and no pulse is rebuilt inside a scan.  S3 advances the S2
+interference angle by pi/2, and in every family that angle falls as the free
+phase rises, so the S3 closed offset is the S2 one plus ``sign * pi/2``.
+S0/S1 of the single-port family, a pulse pair without Kerr noise and
 L(Omega0) = 1 / (1 + Omega0^2) = 0 each make S = 1 at every offset: the
 optimum is "degenerate".
 """
@@ -90,6 +91,10 @@ AGREEMENT_TOL = 1e-9
 CONTRACT_TOL = 1e-9
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_STEP = TWO_PI / SCAN_RESOLUTION_MIN
+# The coarse-pass offsets, read-only because every scan shares them.
+_OFFSETS = np.arange(SCAN_RESOLUTION_MIN) * _STEP
+_OFFSETS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -191,24 +196,27 @@ def scan_phase(coefficients, omega0: float):
     """
     _check_omega0(omega0)
     lor0 = lorentzian(omega0)
+    # _spectrum_from_lorentzian's products, left to right: (2 L0) a_h and (4 L0 L0) b_g
+    h_weight, g_weight = 2.0 * lor0, 4.0 * lor0 * lor0
 
     def f(delta_phi):
-        return _spectrum_from_lorentzian(*coefficients(delta_phi), lor0)
+        a_h, b_g = coefficients(delta_phi)
+        return 1.0 + h_weight * a_h + g_weight * b_g
 
-    step = TWO_PI / SCAN_RESOLUTION_MIN
-    offsets = np.arange(SCAN_RESOLUTION_MIN) * step
-    values = np.broadcast_to(f(offsets), offsets.shape)
-    if not np.all(np.isfinite(values)):
+    values = f(_OFFSETS)
+    if not isinstance(values, np.ndarray):  # a phase-independent kernel gives one scalar
+        values = np.broadcast_to(values, _OFFSETS.shape)
+    if not np.isfinite(values).all():
         raise ValueError(
             f"S({omega0!r}) is not finite at every phase offset: the photon numbers "
             "and Kerr couplings exceed double precision"
         )
-    best_i = int(np.argmin(values))
+    best_i = int(values.argmin())
     best_v = values[best_i]
     # Periodicity makes out-of-range bracket edges harmless.
-    phi, s_min = _golden_refine(f, (best_i - 1) * step, (best_i + 1) * step)
+    phi, s_min = _golden_refine(f, (best_i - 1) * _STEP, (best_i + 1) * _STEP)
     if best_v < s_min:
-        phi, s_min = best_i * step, best_v
+        phi, s_min = best_i * _STEP, best_v
     return float(phi % TWO_PI), float(s_min)
 
 
@@ -226,8 +234,10 @@ def _optimize(family, offset: Offset, pulses, omega0: float, index: StokesIndex,
     if contract:
         raise ScenarioContractError(contract[0])
 
-    def coefficients(delta_phi):
-        return family(offset.phase(pulses, delta_phi))
+    anchor, sign = pulses[offset.anchor].phi_lin, offset.sign
+
+    def coefficients(delta_phi):  # family(offset.phase(pulses, delta_phi))
+        return family(anchor + sign * delta_phi)
 
     lor0 = lorentzian(omega0)
     found = None if lor0 == 0.0 else closed(lor0)

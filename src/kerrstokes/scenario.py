@@ -116,6 +116,17 @@ class OmegaGrid:
             raise ValueError(
                 f"count must be an integer in [2, {MAX_GRID_POINTS}], got {self.count!r}"
             )
+        # linspace rounds i * step + start, each term within ulp(stop).  A step
+        # above 4 ulp(stop) keeps neighbours apart by more than the rounding,
+        # so only finer grids (never a practical one) are built to be checked.
+        step = (self.stop - self.start) / (self.count - 1)
+        if step <= 4.0 * math.ulp(self.stop):
+            grid = self.to_array()
+            if not (grid[1:] > grid[:-1]).all():
+                raise ValueError(
+                    f"the {self.count} points of [{self.start!r}, {self.stop!r}] are not "
+                    "distinct in double precision"
+                )
 
     def to_array(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)

@@ -24,7 +24,11 @@ phi_free is the linear phase of the family's free pulse (phi_lin2,
 phi_lin1 and the probe's phi_lin3 respectively).  The five ``kernel_*``
 builders evaluate their family at the configured phase; the phase scan in
 :mod:`kerrstokes.optimize` evaluates it on an ndarray of offset phases, so
-both share one interference angle and one formula per family.  The
+both share one interference angle and one formula per family.  A family
+called on a float angle takes its sines, cosines and squares from libm
+(``math.sin``, ``math.cos``, ``pow``); on an ndarray it takes them from numpy
+(``np.sin``, ``np.cos``, ``np.float_power``).  The two give the same bits, which
+``tests/test_spectra.py`` checks on seeded draws of every family.  The
 single-port kinds form the reduction chain xpm -> two_sq -> coh_sq.  The
 S3 kernels follow from the S2 ones by advancing every interference angle
 by pi/2, which swaps the roles of the cos/sin quadratures; S0 and S1 are
@@ -89,15 +93,47 @@ def _kernel(family, phi_free) -> CorrelationKernel:
     return CorrelationKernel(float(a_h), float(b_g))
 
 
-def _square(x):
-    """x^2 through libm pow, like Python's float ``**``.
+def _float_sin(x):
+    """math.sin, except at an infinite angle, where numpy's nan (and its
+    RuntimeWarning) stand in for libm's domain error."""
+    try:
+        return math.sin(x)
+    except ValueError:
+        return np.sin(x)
 
-    ``ndarray ** 2`` rounds as x * x, which differs from pow(x, 2) by one
-    ulp for about 0.1 % of arguments; float_power keeps array and scalar
-    evaluations of the kernels bit-identical.  A numpy scalar's ``**``
-    already calls pow, at a tenth of float_power's cost.
+
+def _float_cos(x):
+    """math.cos, with numpy's nan at an infinite angle (see :func:`_float_sin`)."""
+    try:
+        return math.cos(x)
+    except ValueError:
+        return np.cos(x)
+
+
+def _float_square(x):
+    """x^2 through libm pow (a Python float's ``**``)."""
+    return x**2
+
+
+def _array_square(x):
+    """x^2 through libm pow: ``ndarray ** 2`` rounds as x * x, which differs
+    from pow(x, 2) by one ulp for about 0.1 % of arguments."""
+    return np.float_power(x, 2)
+
+
+_FLOAT_OPS = (_float_sin, _float_cos, _float_square)
+_ARRAY_OPS = (np.sin, np.cos, _array_square)
+
+
+def _ops(angle):
+    """(sin, cos, square) for ``angle``: libm on a float, numpy on anything else.
+
+    Both round alike (checked on seeded draws of every family), so a scalar
+    and an array evaluation of a kernel agree bit for bit.  A numpy ufunc on
+    a float costs about four times the libm call, and the numpy scalar it
+    returns slows every product that follows.
     """
-    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x**2
+    return _FLOAT_OPS if isinstance(angle, float) else _ARRAY_OPS
 
 
 def _single_port_scalars(p1: PulseSpec, p2: PulseSpec, t: float, include_xpm: bool):
@@ -148,7 +184,8 @@ def single_port_family(
         theta = phase1 - (kerr2 + phi_lin2)
         if s3:
             theta = theta + HALF_PI
-        return imbalance * np.sin(2.0 * theta), weight * _square(np.sin(theta))
+        sin, _, square = _ops(theta)
+        return imbalance * sin(2.0 * theta), weight * square(sin(theta))
 
     return coefficients
 
@@ -182,8 +219,9 @@ def bs_s01_family(p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex
 
     def coefficients(phi_lin1):
         dphi = (kerr1 + phi_lin1) - total2
-        cos = np.cos(dphi)
-        return -(beat * cos + spm * np.sin(2.0 * dphi)), weight * _square(cos)
+        sin, cos, square = _ops(dphi)
+        cos_dphi = cos(dphi)
+        return -(beat * cos_dphi + spm * sin(2.0 * dphi)), weight * square(cos_dphi)
 
     return coefficients
 
@@ -219,8 +257,9 @@ def bs_s2_family(
         if s3:
             psi1 = psi1 + HALF_PI
             psi2 = psi2 + HALF_PI
-        a_h = n3 * (ref * phi1 * np.sin(2.0 * psi1) - trans * phi2 * np.sin(2.0 * psi2))
-        b_g = n3 * (weight1 * _square(np.cos(psi1)) + weight2 * _square(np.sin(psi2)))
+        sin, cos, square = _ops(psi1)
+        a_h = n3 * (ref * phi1 * sin(2.0 * psi1) - trans * phi2 * sin(2.0 * psi2))
+        b_g = n3 * (weight1 * square(cos(psi1)) + weight2 * square(sin(psi2)))
         return a_h, b_g
 
     return coefficients
@@ -298,11 +337,11 @@ def spectrum(
     grid = np.asarray(omega_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("omega_grid must be a non-empty 1-d array")
-    if not np.all(np.isfinite(grid)):
+    if not np.isfinite(grid).all():
         raise ValueError("omega_grid must be finite")
     if grid[0] < 0.0:
         raise ValueError(f"omega_grid must be non-negative, starts at {grid[0]}")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
+    if not (grid[1:] > grid[:-1]).all():
         raise ValueError("omega_grid must be strictly ascending")
     if not (
         isinstance(reference_intensity, (int, float))

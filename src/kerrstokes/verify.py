@@ -14,7 +14,7 @@ Fourier-pair checks fail.
 
 All checks draw from one generator seeded with ``SEED``, in ``run_checks`` order, and
 ``_draw_pulse`` draws n0, envelope, gamma, gamma_x, phi_lin in turn.  Any moved draw, range
-or check changes the report, which ``tests/test_golden.py`` pins (``elapsed_seconds`` aside).
+or check changes the report, which ``tests/test_golden.py`` pins (every ``elapsed_seconds`` aside).
 """
 
 from __future__ import annotations
@@ -60,10 +60,15 @@ SWEEP_DRAWS = 100
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict.  ``elapsed_seconds`` is the wall time from the
+    previous check's record (or the start of the run) to this one's, so a
+    check that shares a computation with the checks after it carries its cost."""
+
     name: str
     passed: bool
     tolerance: float | None
     detail: str
+    elapsed_seconds: float
 
 
 @dataclass(frozen=True)
@@ -78,9 +83,12 @@ class _Collector:
     def __init__(self):
         self.checks: list[CheckResult] = []
         self.flags: set[str] = set()
+        self.mark = time.perf_counter()
 
     def add(self, name: str, passed: bool, tolerance: float | None, detail: str):
-        self.checks.append(CheckResult(name, bool(passed), tolerance, detail))
+        now = time.perf_counter()
+        self.checks.append(CheckResult(name, bool(passed), tolerance, detail, now - self.mark))
+        self.mark = now
 
 
 def _check_fourier_pairs(col: _Collector, tau_r_mismatch: float):
@@ -573,8 +581,8 @@ def run_checks(tau_r_mismatch: float = 1.0) -> VerifyReport:
     """
     if not (math.isfinite(tau_r_mismatch) and tau_r_mismatch > 0.0):
         raise ValueError(f"tau_r_mismatch must be a finite number > 0, got {tau_r_mismatch!r}")
-    start = time.perf_counter()
     col = _Collector()
+    start = col.mark
     rng = np.random.default_rng(SEED)
     _check_fourier_pairs(col, tau_r_mismatch)
     _check_quadrature_basics(col)

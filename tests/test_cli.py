@@ -212,6 +212,11 @@ def test_verify_subcommand_passes_and_reports(tmp_path, capsys):
     assert len(report["checks"]) >= 20
     names = {c["name"] for c in report["checks"]}
     assert "optimum-coh-sq-closed-vs-scan" in names
+    # each check's time runs from the previous check's record, so they add up
+    # to the total (rounded to 3 decimals there and to 6 per check)
+    times = [c["elapsed_seconds"] for c in report["checks"]]
+    assert min(times) >= 0.0
+    assert sum(times) <= report["elapsed_seconds"] + 5e-4 + len(times) * 5e-7
 
 
 def test_verify_detects_injected_fourier_mismatch(capsys):
@@ -271,6 +276,32 @@ def test_bad_grid_override_names_its_field(tmp_path, basic_ini, capsys):
     )
     assert code == EXIT_VALIDATION
     assert [i["field"] for i in stderr_error(err)["issues"]] == ["grid"]
+
+
+# three points between adjacent doubles: linspace rounds them onto one value
+COLLAPSED_GRID = ("1e300", "1.0000000000000002e300", "3")
+
+
+def test_collapsed_grid_override_names_its_field(tmp_path, basic_ini, capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--config", basic_ini, "--out", tmp_path / "x.csv",
+        "--grid", ":".join(COLLAPSED_GRID),
+    )
+    assert code == EXIT_VALIDATION and out == ""
+    issues = stderr_error(err)["issues"]
+    assert [i["field"] for i in issues] == ["grid"]
+    assert "not distinct" in issues[0]["message"]
+
+
+def test_collapsed_grid_section_names_its_field(tmp_path, capsys):
+    start, stop, count = COLLAPSED_GRID
+    path = tmp_path / "collapsed.ini"
+    path.write_text(BASIC + f"\n[grid]\nstart = {start}\nstop = {stop}\ncount = {count}\n")
+    code, out, err = run_cli(capsys, "run", "--config", path, "--out", tmp_path / "x.csv")
+    assert code == EXIT_VALIDATION and out == ""
+    issues = stderr_error(err)["issues"]
+    assert [i["field"] for i in issues] == ["grid"]
+    assert "not distinct" in issues[0]["message"]
 
 
 def test_grid_count_above_cap_is_rejected_before_any_run(

@@ -6,9 +6,10 @@ document, and the ``kerrstokes verify`` report.  All four configs set
 ``omega0``, so the run digests also pin the phase optimum (closed form and
 scan) reported in the JSON document.  The verify digest pins every check's
 name, verdict, tolerance and detail string and the optimizer flags; only
-``elapsed_seconds``, a wall-clock time, is left out.  A closed-vs-scan
-sweep shows its random draws only through its verdict, so the pulses that
-``verify._draw_pulse`` returns during that run are pinned by a second digest.
+the wall-clock ``elapsed_seconds`` of the run and of each check are left
+out.  A closed-vs-scan sweep shows its random draws only through its
+verdict, so the pulses that ``verify._draw_pulse`` returns during that run
+are pinned by a second digest.
 
 A changed digest means some output moved by at least one bit.  Such a
 change has to be deliberate and named in CHANGES.md; the digests are then
@@ -67,7 +68,7 @@ def run_digests(config: Path, out_dir: Path) -> dict[str, str]:
 
 
 def verify_digests(out_dir: Path) -> dict[str, str]:
-    """Digests of one ``kerrstokes verify`` run: its report without
+    """Digests of one ``kerrstokes verify`` run: its report without any
     ``elapsed_seconds``, and the repr of every pulse it draws."""
     drawn = []
     draw_pulse = verify._draw_pulse
@@ -81,6 +82,8 @@ def verify_digests(out_dir: Path) -> dict[str, str]:
         _main("verify", "--out", out)
     report = json.loads(out.read_text(encoding="ascii"))
     del report["elapsed_seconds"]
+    for check in report["checks"]:
+        del check["elapsed_seconds"]
     texts = {
         "verify/report.json": json.dumps(report, sort_keys=True, indent=1) + "\n",
         "verify/draws.txt": "".join(f"{pulse!r}\n" for pulse in drawn),

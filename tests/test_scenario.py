@@ -78,6 +78,16 @@ class TestBuildingBlocks:
         with pytest.raises(ValueError, match="count must be an integer in"):
             OmegaGrid(count=MAX_GRID_POINTS + 1)
 
+    def test_omega_grid_points_must_be_distinct(self):
+        # the three points of [1e300, nextafter(1e300)] round onto one double
+        with pytest.raises(ValueError, match="not distinct in double precision"):
+            OmegaGrid(1e300, 1.0000000000000002e300, 3)
+        # the same span holds two points, and a step of 5 ulps keeps them apart
+        assert OmegaGrid(1e300, 1.0000000000000002e300, 2).to_array().size == 2
+        stop = 1e300 + 5 * 4 * math.ulp(1e300)
+        grid = OmegaGrid(1e300, stop, 5).to_array()
+        assert (grid[1:] > grid[:-1]).all()
+
     def test_omega_grid_to_array(self):
         grid = OmegaGrid(0.0, 2.0, 5)
         np.testing.assert_array_equal(grid.to_array(), np.linspace(0.0, 2.0, 5))

@@ -2,21 +2,26 @@
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from kerrstokes.errors import ApproximationWarning
 from kerrstokes.kernel import lorentzian
-from kerrstokes.pulse import PulseSpec
+from kerrstokes.pulse import Envelope, EnvelopeShape, PulseSpec
 from kerrstokes.scenario import BeamSplitter
 from kerrstokes.spectra import (
     CorrelationKernel,
     StokesIndex,
+    bs_s01_family,
+    bs_s2_family,
     kernel_bs_s01,
     kernel_bs_s2,
     kernel_coh_sq,
     kernel_two_sq,
     kernel_xpm,
+    single_port_family,
     spectrum,
     spectrum_value,
 )
@@ -141,3 +146,79 @@ def test_kernel_rejects_non_finite_coefficients():
         CorrelationKernel(math.nan, 0.0)
     with pytest.raises(ValueError):
         CorrelationKernel(0.0, math.inf)
+
+
+ENVELOPES = (
+    Envelope(),
+    Envelope(EnvelopeShape.GAUSSIAN, tau_p=1.5),
+    Envelope(EnvelopeShape.SECH, tau_p=0.8),
+)
+
+
+def _seeded_families(rng, draws):
+    """(label, family) for every family and component, ``draws`` pulse sets per envelope."""
+
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    for envelope in ENVELOPES:
+        for _ in range(draws):
+            t = u(-1.5, 1.5)
+            p1, p2 = (
+                PulseSpec(
+                    u(0.5, 300.0), envelope,
+                    gamma=u(0.0, 0.05), gamma_x=u(0.0, 0.02), phi_lin=u(-4.0, 4.0),
+                )
+                for _ in range(2)
+            )
+            probe = PulseSpec(u(0.5, 80.0), envelope, phi_lin=u(-4.0, 4.0))
+            r = u(0.0, 1.0)
+            bs = BeamSplitter(r, 1.0 - r)
+            for index in StokesIndex:
+                for xpm in (False, True):
+                    family = single_port_family(p1, p2, t, index, xpm)
+                    yield f"single-port {index.value} xpm={xpm}", family
+            for which in (StokesIndex.S0, StokesIndex.S1):
+                yield f"bs_s01 {which.value}", bs_s01_family(p1, p2, bs, t, which)
+            for index in (StokesIndex.S2, StokesIndex.S3):
+                yield f"bs_s2 {index.value}", bs_s2_family(p1, p2, probe, bs, t, index)
+
+
+def test_float_and_array_evaluations_are_bit_equal():
+    """A family on a float takes libm's sin, cos and pow; on an ndarray, numpy's.
+    Kernel builders and the scan's golden refinement use the first, the scan's
+    coarse pass the second, so they must round alike."""
+    rng = np.random.default_rng(20261019)
+    compared = 0
+    for label, family in _seeded_families(rng, draws=12):
+        phases = rng.uniform(-8.0, 8.0, 16)
+        vector = [np.broadcast_to(c, phases.shape) for c in family(phases)]
+        for i, phase in enumerate(phases.tolist()):
+            single = [np.broadcast_to(c, 1) for c in family(np.array([phase]))]
+            for k, scalar in enumerate(family(phase)):
+                assert math.isfinite(scalar), (label, phase)
+                bits = {float(x).hex() for x in (scalar, single[k][0], vector[k][i])}
+                assert len(bits) == 1, (label, phase, bits)
+                compared += 1
+    assert compared == len(ENVELOPES) * 12 * 12 * 16 * 2
+
+
+OVERFLOW_REPROS = {
+    "two_sq": lambda big, small: kernel_two_sq(big, small, 0.0),
+    "xpm": lambda big, small: kernel_xpm(big, small, 0.0),
+    "two_sq S3": lambda big, small: kernel_two_sq(big, small, 0.0, StokesIndex.S3),
+    "bs_s01": lambda big, small: kernel_bs_s01(big, small, HALF, 0.0),
+    "bs_s2": lambda big, small: kernel_bs_s2(big, small, PROBE, HALF, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOW_REPROS)
+def test_kerr_phase_past_double_range_is_rejected_on_the_float_route(name):
+    # phi1 = 2 gamma n0 overflows to inf: libm's sin(inf) raises a domain error,
+    # which the float route replaces with numpy's nan and its RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        big = PulseSpec(1e308, gamma=1.0)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in"):
+        with pytest.raises(ValueError, match=r"^a_h must be a finite number, got nan$"):
+            OVERFLOW_REPROS[name](big, PulseSpec(10.0, gamma=0.01))
