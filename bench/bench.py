@@ -13,7 +13,8 @@ rows are measured, each as the minimum of ``REPEATS`` runs:
   ``kerrstokes verify``; the wall time and the peak RSS of the child;
 * per layer, in one fresh interpreter per tree and run: ``load_config``,
   ``run()`` (and ``run()`` of the two_sq config switched to S3), ``run()``
-  over every curve of figures 1-6 and 8-12 (each phase-optimized),
+  over every curve of figures 1-6 and 8-12 (each phase-optimized), ``run()``
+  over the four configs with ``omega0`` removed (no phase scan),
   ``validate``, the phase scan (one ``optimal_phase_two_sq`` call, closed
   form included), one ``optimal_phase_bs_s01`` call on the bs_interf config
   and one ``optimal_phase_bs_s2`` call on quadrature-locked pulses with S3
@@ -127,6 +128,8 @@ def measure_layers(tree: Path) -> dict[str, float]:
     rows["run() two_sq S3"] = per_call(lambda: run(two_sq_s3))
     presets = [c for fid in FIGURE_IDS if fid != 7 for c in figure_preset(fid).configs]
     rows["run() figure presets"] = per_call(lambda: [run(c) for c in presets])
+    fixed = [dataclasses.replace(results[name].config, omega0=None) for name in CONFIGS]
+    rows["run() no omega0"] = per_call(lambda: [run(c) for c in fixed])
     p1, p2 = two_sq.pulses
     t, omega0 = two_sq.analysis_time, two_sq.omega0
     rows["scan_phase two_sq"] = per_call(lambda: optimal_phase_two_sq(p1, p2, t, omega0))

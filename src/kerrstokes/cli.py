@@ -7,10 +7,10 @@ Three subcommands::
     kerrstokes figure --figure-id N [--out DIR]
     kerrstokes verify [--out PATH]
 
-Exit codes: 0 success, 1 config parse error, 2 validation / contract error,
-3 I/O error, 4 verification failure.  Errors are emitted as one JSON object
-on stderr (``{"error": {"code": ..., "issues": [...]}}``); regular results
-go to stdout as JSON.
+Exit codes: 0 success, 1 config or command-line parse error, 2 validation /
+contract error, 3 I/O error, 4 verification failure.  Errors are emitted as
+one JSON object on stderr (``{"error": {"code": ..., "issues": [...]}}``),
+a command-line usage error too; regular results go to stdout as JSON.
 
 Spectrum files are written chunk by chunk, each float converted by a C-level
 ``map``: a CSV field is ``"%.17g" % x`` under the header
@@ -139,9 +139,13 @@ def _parse_grid_flag(text: str) -> OmegaGrid:
     if len(parts) != 3:
         raise ConfigParseError(f"--grid expects START:STOP:COUNT, got {text!r}")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigParseError(f"--grid expects numbers START:STOP:COUNT, got {text!r}") from None
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise ConfigParseError(f"--grid COUNT must be an integer, got {text!r}") from None
     return OmegaGrid(start, stop, count)
 
 
@@ -261,6 +265,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
+def _argv_error(message: str):
+    """``ArgumentParser.error`` of every parser: a usage error leaves parsing
+    as a ConfigParseError, which :func:`main` reports as a JSON parse error."""
+    raise ConfigParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kerrstokes",
@@ -303,11 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ref.set_defaults(
         func=lambda args: (print(Path(dump_reference_path()).read_text(), end=""), EXIT_OK)[1]
     )
+    for each in (parser, p_run, p_fig, p_ver, p_ref):
+        each.error = _argv_error
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigParseError as exc:
+        return _emit_error("parse", EXIT_PARSE, [("argv", str(exc))])
     return args.func(args)
 
 

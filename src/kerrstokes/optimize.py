@@ -22,12 +22,20 @@ scenario contract, for every optimizer.
 
 Each family's offset convention is one :class:`Offset` record
 ``(free, anchor, sign)``, pulses counted from 0: the offset sets the free
-pulse's phi_lin to the anchor's plus ``sign * delta_phi``.  The scan here
-and :func:`kerrstokes.scenario.run`, which applies the optimum, read it.
+pulse's phi_lin to the anchor's plus ``sign * delta_phi``.
 
 * ``SINGLE_PORT_OFFSET = (1, 0, +1)``: delta_phi = phi_lin2 - phi_lin1 (coh_sq, two_sq, xpm)
 * ``BS_INPUT_OFFSET = (0, 1, +1)``: delta_phi = phi_lin1 - phi_lin2 (beam-splitter S0/S1)
 * ``BS_PROBE_OFFSET = (2, 1, -1)``: delta_phi = phi_lin2 - phi_lin3 (beam-splitter S2/S3)
+
+This module alone knows which family, offset, closed form and contract serve
+a kind and Stokes component.  One private builder per optimizer (``_coh_sq``,
+``_two_sq``, ``_xpm``, ``_bs_s01``, ``_bs_s2``) checks its inputs and returns
+them as the plain tuple ``(family, offset, pulses, closed, contract)``; each
+public optimizer is ``_optimize`` of that tuple.
+:func:`kerrstokes.scenario.run` builds the same tuple once per run, takes its
+optimum from ``_optimize`` and its kernel from the same family at the applied
+phase.
 
 Each optimizer builds its family (:mod:`kerrstokes.spectra`) for the Stokes
 component it is asked for and scans it at the free phase, so the
@@ -220,9 +228,12 @@ def scan_phase(coefficients, omega0: float):
     return float(phi % TWO_PI), float(s_min)
 
 
-def _optimize(family, offset: Offset, pulses, omega0: float, index: StokesIndex, closed, contract):
+def _optimize(
+    family, offset: Offset, pulses, closed, contract, omega0: float, index: StokesIndex
+):
     """The optimum of ``family`` at ``omega0``, scanned under ``offset``.
 
+    The first five arguments are the tuple of one builder, such as :func:`_coh_sq`.
     ``omega0`` is checked first, then the first of the ``contract`` messages
     (the violated preconditions of the closed form; empty when it has none)
     is raised as a ScenarioContractError.  ``closed(lor0)`` returns the S2
@@ -334,11 +345,15 @@ def _bs_s01_closed(n1, n2, phi1, phi2, ref, trans, sign, lor0):
     return math.acos(vertex_cos) - phi1 + phi2, s_closed
 
 
-def _optimal_single_port(
-    p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, index: StokesIndex, xpm: bool, form
-) -> PhaseOptimum:
-    """Optimal phi_lin2 - phi_lin1 of the single-port family, the cross
-    phases phix being 0 unless ``xpm`` is set.
+# Each builder below checks its inputs and returns (family, offset, pulses,
+# closed, contract): the family of one kind and Stokes component, the offset it
+# is scanned under, the pulses it reads, its closed form and the violated
+# preconditions of that closed form.
+
+
+def _single_port(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex, xpm: bool, form):
+    """The single-port family, the cross phases phix being 0 unless ``xpm``
+    is set, scanned in phi_lin2 - phi_lin1.
 
     ``form(nbar1, nbar2, phi1, phi2, phix1, phix2, lor0)`` is the S2 closed
     form, which S3 reaches too.  S0 and S1 are conserved, so their optimum
@@ -351,7 +366,24 @@ def _optimal_single_port(
             return None
         return form(*map(np.float64, _single_port_scalars(p1, p2, t, xpm)), lor0)
 
-    return _optimize(family, SINGLE_PORT_OFFSET, (p1, p2), omega0, index, closed, ())
+    return family, SINGLE_PORT_OFFSET, (p1, p2), closed, ()
+
+
+def _coh_sq(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex):
+    """coh_sq: the probe form with (nbar1, phi2) at contrast 1."""
+    _require_coherent(p1, "pulse 1")
+    return _single_port(
+        p1, p2, t, index, False,
+        lambda n1, n2, phi1, phi2, phix1, phix2, lor0: _probe_closed(n1, phi2, 1.0, lor0),
+    )
+
+
+def _two_sq(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex):
+    return _single_port(p1, p2, t, index, False, _single_port_closed)
+
+
+def _xpm(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex):
+    return _single_port(p1, p2, t, index, True, _single_port_closed)
 
 
 def optimal_phase_coh_sq(
@@ -370,11 +402,7 @@ def optimal_phase_coh_sq(
     the spectrum is identically 1 (degenerate optimum), as it is for S0, S1
     and L0 = 0.
     """
-    _require_coherent(p1, "pulse 1")
-    return _optimal_single_port(
-        p1, p2, t, omega0, index, False,
-        lambda n1, n2, phi1, phi2, phix1, phix2, lor0: _probe_closed(n1, phi2, 1.0, lor0),
-    )
+    return _optimize(*_coh_sq(p1, p2, t, index), omega0, index)
 
 
 def optimal_phase_two_sq(
@@ -382,14 +410,14 @@ def optimal_phase_two_sq(
 ) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 of ``index`` for two Kerr-squeezed pulses
     (phix = 0; any gamma_x is ignored)."""
-    return _optimal_single_port(p1, p2, t, omega0, index, False, _single_port_closed)
+    return _optimize(*_two_sq(p1, p2, t, index), omega0, index)
 
 
 def optimal_phase_xpm(
     p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, index: StokesIndex = StokesIndex.S2
 ) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 of ``index`` with SPM and mutual XPM."""
-    return _optimal_single_port(p1, p2, t, omega0, index, True, _single_port_closed)
+    return _optimize(*_xpm(p1, p2, t, index), omega0, index)
 
 
 def _bs_contract_issues(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex) -> list[str]:
@@ -424,6 +452,29 @@ def _bs_contract_issues(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesInd
     return problems
 
 
+def _bs_s01(p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex):
+    """Beam-splitter S0 (``which`` S0) or S1, scanned in phi_lin1 - phi_lin2."""
+    family = bs_s01_family(p1, p2, bs, t, which)
+
+    def closed(lor0):
+        scalars = p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
+        sign = 1.0 if which is StokesIndex.S0 else -1.0
+        return _bs_s01_closed(*map(np.float64, scalars), bs.r, bs.t, sign, lor0)
+
+    return family, BS_INPUT_OFFSET, (p1, p2), closed, _bs_contract_issues(p1, p2, t, which)
+
+
+def _bs_s2(p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float, index: StokesIndex):
+    """Beam-splitter S2 or S3, scanned in the probe offset phi_lin2 - phi_lin3."""
+    family = bs_s2_family(p1, p2, p3, bs, t, index)
+
+    def closed(lor0):  # phi2 = phi1 by contract
+        n3, phi = map(np.float64, (p3.mean_photons(t), p1.spm_phase(t)))
+        return _probe_closed(n3, phi, bs.r - bs.t, lor0)
+
+    return family, BS_PROBE_OFFSET, (p1, p2, p3), closed, _bs_contract_issues(p1, p2, t, index)
+
+
 def optimal_phase_bs_s01(
     p1: PulseSpec, p2: PulseSpec, bs, t: float, omega0: float,
     which: StokesIndex = StokesIndex.S0,
@@ -438,15 +489,7 @@ def optimal_phase_bs_s01(
     flagged "arccos-domain", delta_phi_opt is nan and the scan values are
     authoritative.  L0 = 0 makes S = 1 at every offset (degenerate optimum).
     """
-    family = bs_s01_family(p1, p2, bs, t, which)
-
-    def closed(lor0):
-        scalars = p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
-        sign = 1.0 if which is StokesIndex.S0 else -1.0
-        return _bs_s01_closed(*map(np.float64, scalars), bs.r, bs.t, sign, lor0)
-
-    contract = _bs_contract_issues(p1, p2, t, which)
-    return _optimize(family, BS_INPUT_OFFSET, (p1, p2), omega0, which, closed, contract)
+    return _optimize(*_bs_s01(p1, p2, bs, t, which), omega0, which)
 
 
 def optimal_phase_bs_s2(
@@ -472,11 +515,4 @@ def optimal_phase_bs_s2(
     authoritative whenever it finds a deeper minimum (flagged, see
     PhaseOptimum).
     """
-    family = bs_s2_family(p1, p2, p3, bs, t, index)
-
-    def closed(lor0):  # phi2 = phi1 by contract
-        n3, phi = map(np.float64, (p3.mean_photons(t), p1.spm_phase(t)))
-        return _probe_closed(n3, phi, bs.r - bs.t, lor0)
-
-    contract = _bs_contract_issues(p1, p2, t, index)
-    return _optimize(family, BS_PROBE_OFFSET, (p1, p2, p3), omega0, index, closed, contract)
+    return _optimize(*_bs_s2(p1, p2, p3, bs, t, index), omega0, index)

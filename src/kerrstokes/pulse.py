@@ -59,7 +59,8 @@ class Envelope:
         if not isinstance(self.shape, EnvelopeShape):
             raise ValueError(f"shape must be an EnvelopeShape, got {self.shape!r}")
         if self.shape is not EnvelopeShape.CONSTANT:
-            if self.tau_p is None or not math.isfinite(self.tau_p) or self.tau_p <= 0.0:
+            tau_p = self.tau_p
+            if not (isinstance(tau_p, (int, float)) and math.isfinite(tau_p) and tau_p > 0.0):
                 raise ValueError(
                     f"{self.shape.value} envelope needs tau_p > 0, got {self.tau_p!r}"
                 )

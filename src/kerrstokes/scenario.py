@@ -10,10 +10,13 @@ problems at once or returns the config (emitting structured warnings for
 non-fatal findings).  :func:`run` produces average Stokes parameters, the
 fluctuation spectrum on the grid and, when Omega0 is given, the phase
 optimum; the spectrum is then evaluated at the optimal phase offset.  What
-differs between kinds (pulse count, coherent pulses, kernel, averages,
-optimum, default reference) sits in one table, which also holds each
-Stokes component's phase-offset record (:class:`kerrstokes.optimize.Offset`),
-the one its optimizer scans under.
+differs between kinds (pulse count, coherent pulses, problem, averages,
+default reference) sits in one table.  A kind's problem is the tuple
+``(family, offset, pulses, closed, contract)`` of one
+:mod:`kerrstokes.optimize` builder, chosen by the Stokes component: a run
+builds it once, takes the optimum from it, and evaluates the kernel as
+``family(phase)`` at the free pulse's applied phase, so the spectrum comes
+from the family the optimizer scanned.
 """
 
 from __future__ import annotations
@@ -22,21 +25,16 @@ import enum
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import optimize, spectra, stokes
 from .errors import ConfigValidationError, ValidationIssue
 from .kernel import RelaxationKernel
-from .optimize import (
-    PhaseOptimum,
-    _bs_contract_issues,
-    optimal_phase_bs_s01,
-    optimal_phase_bs_s2,
-)
+from .optimize import PhaseOptimum, _bs_contract_issues
 from .pulse import GAMMA_WEAK_LIMIT, PulseSpec
-from .spectra import SpectrumSeries, StokesIndex, kernel_bs_s01, kernel_bs_s2, spectrum
+from .spectra import SpectrumSeries, StokesIndex, spectrum
 from .stokes import BS_UNITARITY_TOL, StokesSummary, averages_bs
 
 __all__ = [
@@ -97,11 +95,15 @@ MAX_GRID_POINTS = 1_000_000
 @dataclass(frozen=True)
 class OmegaGrid:
     """Uniform grid of reduced frequencies Omega = omega tau_r, with
-    2 <= count <= MAX_GRID_POINTS."""
+    2 <= count <= MAX_GRID_POINTS.
+
+    The grid is built once, on construction, and kept read-only: every run
+    of a config shares it."""
 
     start: float = 0.0
     stop: float = 5.0
     count: int = 512
+    _grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("start", "stop"):
@@ -116,20 +118,18 @@ class OmegaGrid:
             raise ValueError(
                 f"count must be an integer in [2, {MAX_GRID_POINTS}], got {self.count!r}"
             )
-        # linspace rounds i * step + start, each term within ulp(stop).  A step
-        # above 4 ulp(stop) keeps neighbours apart by more than the rounding,
-        # so only finer grids (never a practical one) are built to be checked.
-        step = (self.stop - self.start) / (self.count - 1)
-        if step <= 4.0 * math.ulp(self.stop):
-            grid = self.to_array()
-            if not (grid[1:] > grid[:-1]).all():
-                raise ValueError(
-                    f"the {self.count} points of [{self.start!r}, {self.stop!r}] are not "
-                    "distinct in double precision"
-                )
+        grid = np.linspace(self.start, self.stop, self.count)
+        if not (grid[1:] > grid[:-1]).all():
+            raise ValueError(
+                f"the {self.count} points of [{self.start!r}, {self.stop!r}] are not "
+                "distinct in double precision"
+            )
+        grid.flags.writeable = False
+        object.__setattr__(self, "_grid", grid)
 
     def to_array(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+        """The grid, read-only and the same array on every call."""
+        return self._grid
 
 
 @dataclass(frozen=True)
@@ -330,49 +330,37 @@ class _Kind:
 
     pulse_count: int
     coherent: tuple[tuple[int, str], ...]  # (pulse index, role) of pulses with gamma == 0
-    kernel: Callable  # (config, pulses, t) -> CorrelationKernel
+    problem: Callable  # (config, t) -> (family, offset, pulses, closed, contract), see optimize
     averages: Callable  # (config, pulses, t) -> StokesSummary
-    offset: dict[StokesIndex, optimize.Offset]  # the pulse phase each component's optimum sets
-    optimum: Callable  # (config, t) -> PhaseOptimum at config.omega0
     reference: Callable  # (config, t) -> shot-noise intensity of S* by default
 
 
 def _single_port(kind: ScenarioKind, coherent=()) -> _Kind:
     """Entry of a single-port kind.
 
-    Its builders are the public ``spectra.kernel_<kind>``,
-    ``stokes.averages_<kind>`` and ``optimize.optimal_phase_<kind>``, looked
-    up when called, so tools that rebind module attributes (profilers,
-    mocks) see every call.  Each is handed the configured Stokes component
-    where it takes one; the optimizer then scans that component's kernel.
+    Its problem is ``optimize._<kind>`` on the configured Stokes component.
+    Its averages are the public ``stokes.averages_<kind>``, looked up when
+    called, so tools that rebind module attributes (profilers, mocks) see
+    every call.
     """
     name = kind.value
+    problem = getattr(optimize, f"_{name}")
     return _Kind(
         pulse_count=2,
         coherent=coherent,
-        kernel=lambda config, p, t: getattr(spectra, f"kernel_{name}")(
-            p[0], p[1], t, config.stokes_index
+        problem=lambda config, t: problem(
+            config.pulses[0], config.pulses[1], t, config.stokes_index
         ),
         averages=lambda config, p, t: getattr(stokes, f"averages_{name}")(p[0], p[1], t),
-        offset=dict.fromkeys(StokesIndex, optimize.SINGLE_PORT_OFFSET),
-        optimum=lambda config, t: getattr(optimize, f"optimal_phase_{name}")(
-            config.pulses[0], config.pulses[1], t, config.omega0, config.stokes_index
-        ),
         reference=lambda config, t: config.pulses[0].mean_photons(t),
     )
 
 
-def _bs_kernel(config, p, t):
-    if _photon_number(config.stokes_index):
-        return kernel_bs_s01(p[0], p[1], config.beamsplitter, t, config.stokes_index)
-    return kernel_bs_s2(p[0], p[1], p[2], config.beamsplitter, t, config.stokes_index)
-
-
-def _bs_optimum(config, t):
+def _bs_problem(config, t):
     p, bs, index = config.pulses, config.beamsplitter, config.stokes_index
     if _photon_number(index):
-        return optimal_phase_bs_s01(p[0], p[1], bs, t, config.omega0, which=index)
-    return optimal_phase_bs_s2(p[0], p[1], p[2], bs, t, config.omega0, index)
+        return optimize._bs_s01(p[0], p[1], bs, t, index)
+    return optimize._bs_s2(p[0], p[1], p[2], bs, t, index)
 
 
 def _bs_reference(config, t):
@@ -389,13 +377,8 @@ _KINDS = {
     ScenarioKind.BS_INTERF: _Kind(
         pulse_count=3,
         coherent=((2, "probe pulse"),),
-        kernel=_bs_kernel,
+        problem=_bs_problem,
         averages=lambda config, p, t: averages_bs(p[0], p[1], p[2], config.beamsplitter, t),
-        offset={
-            index: optimize.BS_INPUT_OFFSET if _photon_number(index) else optimize.BS_PROBE_OFFSET
-            for index in StokesIndex
-        },
-        optimum=_bs_optimum,
         reference=_bs_reference,
     ),
 }
@@ -413,17 +396,20 @@ def run(config: ScenarioConfig) -> ScenarioResult:
     warns = _enforce(config)
     kind = _KINDS[config.kind]
     t = config.analysis_time
+    problem = kind.problem(config, t)
+    family, offset = problem[:2]
     pulses = config.pulses
     optimum = None
     if config.omega0 is not None:
-        optimum = kind.optimum(config, t)
+        optimum = optimize._optimize(*problem, config.omega0, config.stokes_index)
         chosen = (
             optimum.delta_phi_opt
             if math.isfinite(optimum.delta_phi_opt)
             else optimum.delta_phi_numeric
         )
-        pulses = kind.offset[config.stokes_index].apply(pulses, chosen)
-    kern = kind.kernel(config, pulses, t)
+        pulses = offset.apply(pulses, chosen)
+    # the family reads the free pulse's phase only through its argument
+    kern = spectra._kernel(family, pulses[offset.free].phi_lin)
     reference = (
         config.normalization if config.normalization is not None else kind.reference(config, t)
     )

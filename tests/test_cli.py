@@ -250,6 +250,52 @@ def test_version_flag(capsys):
     assert excinfo.value.code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--optimize-at", "abc"], "argument --optimize-at: invalid float value: 'abc'"),
+        (["--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["optimize-at", "format", "bogus-run-flag"],
+)
+def test_bad_run_flag_is_a_json_parse_error(basic_ini, tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "run", "--config", basic_ini, "--out", out, *argv)
+    assert code == EXIT_PARSE and stdout == ""
+    error = stderr_error(err)
+    assert error["code"] == "parse"
+    assert [i["field"] for i in error["issues"]] == ["argv"]
+    assert error["issues"][0]["message"].startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run"], "the following arguments are required: --config"),
+        (["--bogus"], "the following arguments are required: command"),
+        (["figure", "--figure-id", "x"], "argument --figure-id: invalid int value: 'x'"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+    ],
+    ids=["run-without-config", "bogus-top-level-flag", "figure-id", "unknown-subcommand"],
+)
+def test_command_line_usage_error_is_a_json_parse_error(capsys, argv, message):
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE and stdout == ""
+    error = stderr_error(err)  # one JSON object, no usage text
+    assert error["code"] == "parse"
+    assert [i["field"] for i in error["issues"]] == ["argv"]
+    assert error["issues"][0]["message"].startswith(message)
+
+
+def test_help_flag_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kerrstokes run")
+
+
 def test_overflowing_kerr_phase_maps_to_validation_exit(tmp_path, capsys):
     # phi2 = 2 gamma n0 = 1e298 squares past the double range
     path = tmp_path / "huge.ini"
@@ -276,6 +322,16 @@ def test_bad_grid_override_names_its_field(tmp_path, basic_ini, capsys):
     )
     assert code == EXIT_VALIDATION
     assert [i["field"] for i in stderr_error(err)["issues"]] == ["grid"]
+
+
+def test_non_integer_grid_count_says_count_must_be_an_integer(tmp_path, basic_ini, capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--config", basic_ini, "--out", tmp_path / "x.csv", "--grid", "0:5:2e6"
+    )
+    assert code == EXIT_PARSE and out == ""
+    issues = stderr_error(err)["issues"]
+    assert [i["field"] for i in issues] == ["grid"]
+    assert issues[0]["message"] == "--grid COUNT must be an integer, got '0:5:2e6'"
 
 
 # three points between adjacent doubles: linspace rounds them onto one value

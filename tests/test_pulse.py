@@ -40,6 +40,13 @@ def test_shaped_envelope_requires_duration():
         Envelope(EnvelopeShape.SECH, tau_p=-1.0)
 
 
+@pytest.mark.parametrize("shape", [EnvelopeShape.GAUSSIAN, EnvelopeShape.SECH])
+def test_non_numeric_duration_is_a_value_error(shape):
+    # math.isfinite("2") would raise TypeError; every other record raises ValueError
+    with pytest.raises(ValueError, match=f"{shape.value} envelope needs tau_p > 0, got '2'"):
+        Envelope(shape, "2")
+
+
 def test_gaussian_duration_whose_square_underflows_is_rejected():
     # 2 tau_p^2 underflows to 0, so amplitude() would divide by zero
     with pytest.raises(ValueError, match="tau_p"):

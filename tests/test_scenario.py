@@ -1,14 +1,26 @@
 """Scenario configuration, validation and the end-to-end run pipeline."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from kerrstokes import optimize, spectra
 from kerrstokes.errors import ConfigValidationError
 from kerrstokes.kernel import RelaxationKernel
-from kerrstokes.optimize import AGREEMENT_TOL
+from kerrstokes.optimize import (
+    AGREEMENT_TOL,
+    BS_INPUT_OFFSET,
+    BS_PROBE_OFFSET,
+    SINGLE_PORT_OFFSET,
+    optimal_phase_bs_s01,
+    optimal_phase_bs_s2,
+    optimal_phase_coh_sq,
+    optimal_phase_two_sq,
+    optimal_phase_xpm,
+)
 from kerrstokes.pulse import Envelope, EnvelopeShape, PulseSpec
 from kerrstokes.scenario import (
     MAX_GRID_POINTS,
@@ -21,7 +33,15 @@ from kerrstokes.scenario import (
     run,
     validate,
 )
-from kerrstokes.spectra import StokesIndex
+from kerrstokes.spectra import (
+    StokesIndex,
+    kernel_bs_s01,
+    kernel_bs_s2,
+    kernel_coh_sq,
+    kernel_two_sq,
+    kernel_xpm,
+    spectrum,
+)
 
 MEDIUM = RelaxationKernel(1.0)
 COH = PulseSpec(n0=1.0)
@@ -73,7 +93,7 @@ class TestBuildingBlocks:
             OmegaGrid(count=1)
 
     def test_omega_grid_count_is_capped(self):
-        # checked on construction: no array of that size is ever built
+        # checked before the grid is built: no array above the cap is ever allocated
         assert OmegaGrid(count=MAX_GRID_POINTS).count == MAX_GRID_POINTS
         with pytest.raises(ValueError, match="count must be an integer in"):
             OmegaGrid(count=MAX_GRID_POINTS + 1)
@@ -91,6 +111,13 @@ class TestBuildingBlocks:
     def test_omega_grid_to_array(self):
         grid = OmegaGrid(0.0, 2.0, 5)
         np.testing.assert_array_equal(grid.to_array(), np.linspace(0.0, 2.0, 5))
+        # built once and shared by every run: the same read-only array on each call
+        assert grid.to_array() is grid.to_array()
+        assert not grid.to_array().flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid.to_array()[0] = 1.0
+        assert run(config(omega_grid=grid)).spectrum.omega is grid.to_array()
+        assert grid == OmegaGrid(0.0, 2.0, 5) and "_grid" not in repr(grid)
 
     def test_config_type_checks(self):
         with pytest.raises(ValueError):
@@ -308,6 +335,10 @@ def _offset_draws(rng, count):
             PulseSpec(n0=u(0.2, 5.0), phi_lin=phase()),
             PulseSpec(n0=u(10.0, 200.0), gamma=0.0 if dark else u(0.001, 0.01), phi_lin=phase()),
         )
+        two_sq = tuple(
+            PulseSpec(n0=u(10.0, 300.0), gamma=0.0 if dark else u(0.001, 0.01), phi_lin=phase())
+            for _ in range(2)
+        )
         xpm = tuple(
             PulseSpec(
                 n0=u(10.0, 300.0), gamma=0.0 if dark else u(0.001, 0.01),
@@ -331,10 +362,28 @@ def _offset_draws(rng, count):
         splitters = [BeamSplitter(r, 1.0 - r) for r in (u(0.25, 0.75), u(0.25, 0.75))]
         for index in (StokesIndex.S2, StokesIndex.S3):
             yield "coh_sq", ScenarioKind.COH_SQ, coh_sq, None, index
+            yield "two_sq", ScenarioKind.TWO_SQ, two_sq, None, index
             yield "xpm", ScenarioKind.XPM, xpm, None, index
             yield "bs_s2", ScenarioKind.BS_INTERF, bs_s2, splitters[1], index
         for index in (StokesIndex.S0, StokesIndex.S1):
             yield "bs_s01", ScenarioKind.BS_INTERF, bs_s01, splitters[0], index
+
+
+# family -> its public kernel builder, optimizer and offset record
+_PUBLIC = {
+    "coh_sq": (kernel_coh_sq, optimal_phase_coh_sq, SINGLE_PORT_OFFSET),
+    "two_sq": (kernel_two_sq, optimal_phase_two_sq, SINGLE_PORT_OFFSET),
+    "xpm": (kernel_xpm, optimal_phase_xpm, SINGLE_PORT_OFFSET),
+    "bs_s01": (kernel_bs_s01, optimal_phase_bs_s01, BS_INPUT_OFFSET),
+    "bs_s2": (kernel_bs_s2, optimal_phase_bs_s2, BS_PROBE_OFFSET),
+}
+
+
+def _public_args(family, pulses, bs):
+    """The leading arguments of the public kernel builder and optimizer of ``family``."""
+    if family == "bs_s01":
+        return (*pulses[:2], bs)
+    return pulses if bs is None else (*pulses, bs)
 
 
 def test_run_applies_the_offset_its_optimizer_scanned():
@@ -346,29 +395,91 @@ def test_run_applies_the_offset_its_optimizer_scanned():
     S(Omega0) sits above the scanned minimum exactly when the optimizer says
     so.  The single-port and S0/S1 closed forms are exact minima, so they
     never carry that flag: a record with the wrong anchor or sign moves the
-    scan and the applied phase away from the closed form's convention."""
+    scan and the applied phase away from the closed form's convention.
+
+    Each run, with and without Omega0, is also the public route bit for bit:
+    its optimum is ``optimal_phase_<kind>`` and its spectrum that of
+    ``kernel_<kind>`` on the pulses the offset moved (or on the configured
+    ones)."""
     rng = np.random.default_rng(2024)
     routes = {}
     for family, kind, pulses, bs, index in _offset_draws(rng, 20):
-        omega0 = float(rng.uniform(0.0, 3.0))
-        cfg = config(
-            kind=kind, pulses=pulses, beamsplitter=bs, stokes_index=index, omega0=omega0,
-            omega_grid=OmegaGrid(omega0, omega0 + 1.0, 2), normalization=1.0,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # strong couplings, xpm without gamma_x
-            result = run(cfg)
-        opt, at_omega0 = result.optimum, result.spectrum.values[0]
-        scanned = "degenerate" in opt.flags or "arccos-domain" in opt.flags
-        routes.setdefault(family, set()).add(scanned)
-        if scanned:
-            assert at_omega0 == opt.s_min_numeric, (family, index, opt)
-        else:
-            above = at_omega0 > opt.s_min_numeric + AGREEMENT_TOL
-            assert ("closed-phase-not-minimal" in opt.flags) == above, (family, index, opt)
-        if family != "bs_s2":
-            assert "closed-phase-not-minimal" not in opt.flags, (family, index, opt)
-    assert routes == dict.fromkeys(("coh_sq", "xpm", "bs_s2", "bs_s01"), {False, True})
+        kernel, optimal_phase, offset = _PUBLIC[family]
+        for omega0 in (float(rng.uniform(0.0, 3.0)), None):
+            start = 0.5 if omega0 is None else omega0
+            cfg = config(
+                kind=kind, pulses=pulses, beamsplitter=bs, stokes_index=index, omega0=omega0,
+                omega_grid=OmegaGrid(start, start + 1.0, 2), normalization=1.0,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # strong couplings, xpm without gamma_x
+                result = run(cfg)
+            moved = pulses
+            if omega0 is None:
+                assert result.optimum is None
+            else:
+                opt = result.optimum
+                lead = _public_args(family, pulses, bs)
+                assert repr(opt) == repr(optimal_phase(*lead, 0.0, omega0, index))
+                closed = math.isfinite(opt.delta_phi_opt)
+                moved = offset.apply(pulses, opt.delta_phi_opt if closed else opt.delta_phi_numeric)
+            kern = kernel(*_public_args(family, moved, bs), 0.0, index)
+            expected = spectrum(kern, cfg.omega_grid.to_array(), 1.0)
+            for name in ("omega", "values", "normalized"):
+                got, want = getattr(result.spectrum, name), getattr(expected, name)
+                assert got.tobytes() == want.tobytes(), (family, index, omega0, name)
+            if omega0 is None:
+                continue
+            at_omega0 = result.spectrum.values[0]
+            scanned = "degenerate" in opt.flags or "arccos-domain" in opt.flags
+            routes.setdefault(family, set()).add(scanned)
+            if scanned:
+                assert at_omega0 == opt.s_min_numeric, (family, index, opt)
+            else:
+                above = at_omega0 > opt.s_min_numeric + AGREEMENT_TOL
+                assert ("closed-phase-not-minimal" in opt.flags) == above, (family, index, opt)
+            if family != "bs_s2":
+                assert "closed-phase-not-minimal" not in opt.flags, (family, index, opt)
+    assert routes == dict.fromkeys(_PUBLIC, {False, True})
+
+
+_LOCKED = (  # equal SPM phases, inputs in quadrature: the beam-splitter S2/S3 contract
+    PulseSpec(n0=100.0, gamma=0.005, phi_lin=math.pi / 2),
+    PulseSpec(n0=100.0, gamma=0.005),
+    PulseSpec(n0=50.0, phi_lin=0.3),
+)
+
+
+@pytest.mark.parametrize("omega0", [0.7, None])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        config(),
+        config(kind=ScenarioKind.TWO_SQ, pulses=(KERR, KERR), stokes_index=StokesIndex.S3),
+        config(kind=ScenarioKind.XPM, pulses=(KERR, PulseSpec(n0=50.0, gamma_x=0.002))),
+        bs_config(stokes_index=StokesIndex.S1),
+        bs_config(pulses=_LOCKED, stokes_index=StokesIndex.S2),
+    ],
+    ids=["coh_sq", "two_sq", "xpm", "bs_s01", "bs_s2"],
+)
+def test_run_builds_one_family(cfg, omega0, monkeypatch):
+    """run() builds its kernel family once: the optimizer scans it and the
+    kernel is that family at the applied phase.  Every module that binds a
+    family function gets the counting wrapper."""
+    builds = []
+    for name in ("single_port_family", "bs_s01_family", "bs_s2_family"):
+
+        def counted(*args, _original=getattr(spectra, name), **kwargs):
+            builds.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        for module in (spectra, optimize):
+            monkeypatch.setattr(module, name, counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # xpm with one cross coupling
+        result = run(dataclasses.replace(cfg, omega0=omega0))
+    assert len(builds) == 1, builds
+    assert (result.optimum is None) == (omega0 is None)
 
 
 def test_overflowing_stokes_averages_raise_value_error():
