@@ -16,7 +16,9 @@ rows are measured, each as the minimum of ``REPEATS`` runs:
   over every curve of figures 1-6 and 8-12 (each phase-optimized), ``run()``
   over the four configs with ``omega0`` removed (no phase scan),
   ``validate``, the phase scan (one ``optimal_phase_two_sq`` call, closed
-  form included), one ``optimal_phase_bs_s01`` call on the bs_interf config
+  form included), the closed form alone (the two_sq optimizer's private
+  builder, ``optimize._two_sq``, and its closed form at the config's
+  omega0, with no scan), one ``optimal_phase_bs_s01`` call on the bs_interf config
   and one ``optimal_phase_bs_s2`` call on quadrature-locked pulses with S3
   selected, the kernel build (``kernel_two_sq``), ``spectrum`` on the
   default 512-point grid, the CSV write, one in-process ``kerrstokes run``
@@ -99,7 +101,8 @@ def measure_layers(tree: Path) -> dict[str, float]:
     from kerrstokes.cli import _write_spectrum_csv, main
     from kerrstokes.config_io import load_config
     from kerrstokes.figures import FIGURE_IDS, figure_preset
-    from kerrstokes.kernel import RelaxationKernel
+    from kerrstokes import optimize
+    from kerrstokes.kernel import RelaxationKernel, lorentzian
     from kerrstokes.optimize import optimal_phase_bs_s01, optimal_phase_bs_s2, optimal_phase_two_sq
     from kerrstokes.oracle import wk_numeric
     from kerrstokes.pulse import PulseSpec
@@ -133,6 +136,8 @@ def measure_layers(tree: Path) -> dict[str, float]:
     p1, p2 = two_sq.pulses
     t, omega0 = two_sq.analysis_time, two_sq.omega0
     rows["scan_phase two_sq"] = per_call(lambda: optimal_phase_two_sq(p1, p2, t, omega0))
+    lor0, s2 = lorentzian(omega0), StokesIndex.S2
+    rows["closed form two_sq"] = per_call(lambda: optimize._two_sq(p1, p2, t, s2)[3](lor0))
     bs = results["bs_interf"].config
     b1, b2, _ = bs.pulses
     half = bs.beamsplitter

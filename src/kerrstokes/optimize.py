@@ -30,9 +30,12 @@ pulse's phi_lin to the anchor's plus ``sign * delta_phi``.
 
 This module alone knows which family, offset, closed form and contract serve
 a kind and Stokes component.  One private builder per optimizer (``_coh_sq``,
-``_two_sq``, ``_xpm``, ``_bs_s01``, ``_bs_s2``) checks its inputs and returns
-them as the plain tuple ``(family, offset, pulses, closed, contract)``; each
-public optimizer is ``_optimize`` of that tuple.
+``_two_sq``, ``_xpm``, ``_bs_s01``, ``_bs_s2``) checks its inputs, evaluates
+each pulse once at the analysis time (``PulseSpec.at``), and returns the plain
+tuple ``(family, offset, pulses, closed, contract)``: its family, its closed
+form and its contract all read those records, and the contract is a
+callable that ``_optimize`` evaluates only when an optimum is asked for.
+Each public optimizer is ``_optimize`` of that tuple.
 :func:`kerrstokes.scenario.run` builds the same tuple once per run, takes its
 optimum from ``_optimize`` and its kernel from the same family at the applied
 phase.
@@ -59,11 +62,10 @@ import numpy as np
 
 from .errors import ScenarioContractError
 from .kernel import lorentzian
-from .pulse import PulseSpec
+from .pulse import LocalPulse, PulseSpec
 from .spectra import (
     HALF_PI,
     StokesIndex,
-    _single_port_scalars,
     _spectrum_from_lorentzian,
     bs_s01_family,
     bs_s2_family,
@@ -234,16 +236,16 @@ def _optimize(
     """The optimum of ``family`` at ``omega0``, scanned under ``offset``.
 
     The first five arguments are the tuple of one builder, such as :func:`_coh_sq`.
-    ``omega0`` is checked first, then the first of the ``contract`` messages
-    (the violated preconditions of the closed form; empty when it has none)
+    ``omega0`` is checked first; then ``contract()`` lists the violated
+    preconditions of the closed form (empty when it has none), and the first
     is raised as a ScenarioContractError.  ``closed(lor0)`` returns the S2
     closed form ``(delta_phi, s_min, *flags)`` at L(Omega0) = lor0 > 0, or
     None when the spectrum is flat.  A non-finite closed minimum raises
     ValueError before the scan runs.
     """
     _check_omega0(omega0)
-    if contract:
-        raise ScenarioContractError(contract[0])
+    if issues := contract():
+        raise ScenarioContractError(issues[0])
 
     anchor, sign = pulses[offset.anchor].phi_lin, offset.sign
 
@@ -347,8 +349,8 @@ def _bs_s01_closed(n1, n2, phi1, phi2, ref, trans, sign, lor0):
 
 # Each builder below checks its inputs and returns (family, offset, pulses,
 # closed, contract): the family of one kind and Stokes component, the offset it
-# is scanned under, the pulses it reads, its closed form and the violated
-# preconditions of that closed form.
+# is scanned under, the pulses it reads, its closed form and a callable that
+# lists the violated preconditions of that closed form.
 
 
 def _single_port(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex, xpm: bool, form):
@@ -359,14 +361,16 @@ def _single_port(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex, xpm
     form, which S3 reaches too.  S0 and S1 are conserved, so their optimum
     is degenerate.
     """
-    family = single_port_family(p1, p2, t, index, xpm)
+    a, b = p1.at(t), p2.at(t)
+    family = single_port_family(a, b, index, xpm)
 
     def closed(lor0):
         if index in (StokesIndex.S0, StokesIndex.S1):
             return None
-        return form(*map(np.float64, _single_port_scalars(p1, p2, t, xpm)), lor0)
+        phix = (a.phix, b.phix) if xpm else (0.0, 0.0)
+        return form(*map(np.float64, (a.nbar, b.nbar, a.phi, b.phi, *phix)), lor0)
 
-    return family, SINGLE_PORT_OFFSET, (p1, p2), closed, ()
+    return family, SINGLE_PORT_OFFSET, (p1, p2), closed, lambda: ()
 
 
 def _coh_sq(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex):
@@ -420,16 +424,17 @@ def optimal_phase_xpm(
     return _optimize(*_xpm(p1, p2, t, index), omega0, index)
 
 
-def _bs_contract_issues(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex) -> list[str]:
-    """Violated preconditions of a beam-splitter closed form, as messages.
+def _bs_contract_issues(a: LocalPulse, b: LocalPulse, index: StokesIndex) -> list[str]:
+    """Violated preconditions of a beam-splitter closed form for inputs ``a``
+    and ``b``, as messages.
 
     S0/S1 needs the balance nbar1 phi2 == nbar2 phi1; S2/S3 needs equal SPM
     phases and inputs locked in quadrature.  The optimizers raise the first
     one as a ScenarioContractError; scenario validation reports them all.
     """
-    phi1, phi2 = p1.spm_phase(t), p2.spm_phase(t)
+    phi1, phi2 = a.phi, b.phi
     if index in (StokesIndex.S0, StokesIndex.S1):
-        balance = p1.mean_photons(t) * phi2 - p2.mean_photons(t) * phi1
+        balance = a.nbar * phi2 - b.nbar * phi1
         if abs(balance) > CONTRACT_TOL:
             return [
                 "beam-splitter S0/S1 optimization requires the balance "
@@ -443,7 +448,7 @@ def _bs_contract_issues(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesInd
             "beam-splitter S2/S3 optimization requires equal SPM phases "
             f"(phi1 == phi2 within {CONTRACT_TOL:g}); got {phi1:g} and {phi2:g}"
         )
-    lock = p1.phi_lin - p2.phi_lin
+    lock = a.phi_lin - b.phi_lin
     if abs(lock - 0.5 * math.pi) > CONTRACT_TOL:
         problems.append(
             "beam-splitter S2/S3 optimization requires quadrature-locked inputs "
@@ -454,25 +459,27 @@ def _bs_contract_issues(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesInd
 
 def _bs_s01(p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex):
     """Beam-splitter S0 (``which`` S0) or S1, scanned in phi_lin1 - phi_lin2."""
-    family = bs_s01_family(p1, p2, bs, t, which)
+    a, b = p1.at(t), p2.at(t)
+    family = bs_s01_family(a, b, bs, which)
 
     def closed(lor0):
-        scalars = p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
+        scalars = a.nbar, b.nbar, a.phi, b.phi
         sign = 1.0 if which is StokesIndex.S0 else -1.0
         return _bs_s01_closed(*map(np.float64, scalars), bs.r, bs.t, sign, lor0)
 
-    return family, BS_INPUT_OFFSET, (p1, p2), closed, _bs_contract_issues(p1, p2, t, which)
+    return family, BS_INPUT_OFFSET, (p1, p2), closed, lambda: _bs_contract_issues(a, b, which)
 
 
 def _bs_s2(p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float, index: StokesIndex):
     """Beam-splitter S2 or S3, scanned in the probe offset phi_lin2 - phi_lin3."""
-    family = bs_s2_family(p1, p2, p3, bs, t, index)
+    a, b, c = p1.at(t), p2.at(t), p3.at(t)
+    family = bs_s2_family(a, b, c, bs, index)
 
     def closed(lor0):  # phi2 = phi1 by contract
-        n3, phi = map(np.float64, (p3.mean_photons(t), p1.spm_phase(t)))
+        n3, phi = map(np.float64, (c.nbar, a.phi))
         return _probe_closed(n3, phi, bs.r - bs.t, lor0)
 
-    return family, BS_PROBE_OFFSET, (p1, p2, p3), closed, _bs_contract_issues(p1, p2, t, index)
+    return family, BS_PROBE_OFFSET, (p1, p2, p3), closed, lambda: _bs_contract_issues(a, b, index)
 
 
 def optimal_phase_bs_s01(

@@ -6,7 +6,9 @@ r(t) with r(0) = 1, an effective self-phase-modulation coupling ``gamma``
 optional cross-phase-modulation coupling ``gamma_x`` picked up from a
 co-propagating partner pulse, and a linear phase ``phi_lin``.
 
-Derived time-local quantities used throughout the package:
+Every quantity of the model is local in pulse time.  ``PulseSpec.at(t)``
+evaluates the envelope once and returns a :class:`LocalPulse` record, the
+only route from a pulse to these quantities:
 
     nbar(t)  = n0 r(t)^2                 mean photon number
     phi(t)   = 2 gamma  nbar(t)          SPM-induced nonlinear phase
@@ -14,9 +16,12 @@ Derived time-local quantities used throughout the package:
     phix(t)  = 2 gamma_x nbar(t)         XPM-induced nonlinear phase
     mux(t)   = gamma_x^2 nbar(t) / 2     XPM coherence damping exponent
 
-``total_phase`` composes the accumulated optical phase: phi + phi_lin for
-self-action alone, or phi - phix + phi_lin when the cross-Kerr shift of the
-partner pulse is included.
+``LocalPulse.total`` composes the accumulated optical phase: phi + phi_lin
+for self-action alone, or phi - phix + phi_lin when the cross-Kerr shift of
+the partner pulse is included.  The record stores nbar and the pulse's
+constants; phi, mu, phix and mux are computed when read, so a consumer
+never computes a quantity (or overflows on one) that it does not use.  With
+an ndarray of times every field and quantity is an array over t.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ApproximationWarning
 
-__all__ = ["EnvelopeShape", "Envelope", "PulseSpec", "GAMMA_WEAK_LIMIT"]
+__all__ = ["EnvelopeShape", "Envelope", "LocalPulse", "PulseSpec", "GAMMA_WEAK_LIMIT"]
 
 # Beyond this per-photon coupling the weak-nonlinearity expansion that
 # underlies the closed-form spectra starts to lose accuracy.
@@ -127,36 +133,9 @@ class PulseSpec:
         amp = self.envelope.amplitude(t)
         return self.n0 * amp * amp
 
-    def spm_phase(self, t):
-        """Self-induced nonlinear phase phi(t) = 2 gamma nbar(t)."""
-        return 2.0 * self.gamma * self.mean_photons(t)
-
-    def spm_damping(self, t):
-        """SPM coherence damping exponent mu(t) = gamma^2 nbar(t) / 2."""
-        return self.gamma * self.gamma * self.mean_photons(t) / 2.0
-
-    def xpm_phase(self, t):
-        """Cross-induced nonlinear phase phix(t) = 2 gamma_x nbar(t)."""
-        return 2.0 * self.gamma_x * self.mean_photons(t)
-
-    def xpm_damping(self, t):
-        """XPM coherence damping exponent mux(t) = gamma_x^2 nbar(t) / 2."""
-        return self.gamma_x * self.gamma_x * self.mean_photons(t) / 2.0
-
-    def kerr_phase(self, t, include_xpm: bool = False):
-        """Nonlinear part of the optical phase at time t: phi, or phi - phix.
-
-        With ``include_xpm`` the cross-Kerr contribution enters with the
-        opposite sign to the self-action term, reflecting the relative sign
-        of the two couplings in the interaction picture used here.
-        """
-        if include_xpm:
-            return self.spm_phase(t) - self.xpm_phase(t)
-        return self.spm_phase(t)
-
-    def total_phase(self, t, include_xpm: bool = False):
-        """Accumulated optical phase at time t: kerr_phase(t) + phi_lin."""
-        return self.kerr_phase(t, include_xpm) + self.phi_lin
+    def at(self, t) -> "LocalPulse":
+        """This pulse at time t (a float or an ndarray): one envelope evaluation."""
+        return LocalPulse(self.mean_photons(t), self.gamma, self.gamma_x, self.phi_lin)
 
     def with_phase(self, phi_lin: float) -> "PulseSpec":
         """Copy of this pulse with another linear phase.
@@ -169,3 +148,46 @@ class PulseSpec:
         clone = copy.copy(self)
         object.__setattr__(clone, "phi_lin", phi_lin)
         return clone
+
+
+class LocalPulse(NamedTuple):
+    """A pulse at one time t: its photon number and constants, and the
+    quantities of the module docstring, each computed when read."""
+
+    nbar: float
+    gamma: float
+    gamma_x: float
+    phi_lin: float
+
+    @property
+    def phi(self):
+        """SPM phase 2 gamma nbar."""
+        return 2.0 * self.gamma * self.nbar
+
+    @property
+    def mu(self):
+        """SPM damping exponent gamma^2 nbar / 2."""
+        return self.gamma * self.gamma * self.nbar / 2.0
+
+    @property
+    def phix(self):
+        """XPM phase 2 gamma_x nbar."""
+        return 2.0 * self.gamma_x * self.nbar
+
+    @property
+    def mux(self):
+        """XPM damping exponent gamma_x^2 nbar / 2."""
+        return self.gamma_x * self.gamma_x * self.nbar / 2.0
+
+    def kerr(self, include_xpm: bool = False):
+        """Nonlinear part of the optical phase: phi, or phi - phix.
+
+        With ``include_xpm`` the cross-Kerr contribution enters with the
+        opposite sign to the self-action term, reflecting the relative sign
+        of the two couplings in the interaction picture used here.
+        """
+        return self.phi - self.phix if include_xpm else self.phi
+
+    def total(self, include_xpm: bool = False):
+        """Accumulated optical phase: kerr(include_xpm) + phi_lin."""
+        return self.kerr(include_xpm) + self.phi_lin

@@ -292,8 +292,8 @@ def _optimization_issues(config, t, errors, warns):
     kind = config.kind
     index = config.stokes_index
     if kind is ScenarioKind.BS_INTERF:
-        p1, p2 = config.pulses[0], config.pulses[1]
-        errors.extend(ValidationIssue("pulses", m) for m in _bs_contract_issues(p1, p2, t, index))
+        a, b = config.pulses[0].at(t), config.pulses[1].at(t)
+        errors.extend(ValidationIssue("pulses", m) for m in _bs_contract_issues(a, b, index))
     elif index in (StokesIndex.S0, StokesIndex.S1):
         warns.append(
             ValidationIssue(

@@ -19,10 +19,12 @@ squeezing/excess relative to a chosen shot-noise intensity.
 
 The scenario kinds share three kernel families, and each family is one
 function: ``single_port_family``, ``bs_s01_family`` and ``bs_s2_family``
-take the pulses and return ``coefficients(phi_free) -> (a_h, b_g)``, where
+take the pulses at the analysis time, as :class:`~kerrstokes.pulse.LocalPulse`
+records, and return ``coefficients(phi_free) -> (a_h, b_g)``, where
 phi_free is the linear phase of the family's free pulse (phi_lin2,
 phi_lin1 and the probe's phi_lin3 respectively).  The five ``kernel_*``
-builders evaluate their family at the configured phase; the phase scan in
+builders take pulses and a time, pass the families ``pulse.at(t)``, and
+evaluate them at the configured phase; the phase scan in
 :mod:`kerrstokes.optimize` evaluates it on an ndarray of offset phases, so
 both share one interference angle and one formula per family.  A family
 called on a float angle takes its sines, cosines and squares from libm
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import lorentzian
-from .pulse import PulseSpec
+from .pulse import LocalPulse, PulseSpec
 from .stokes import _require_coherent, _require_unit_split
 
 __all__ = [
@@ -136,24 +138,14 @@ def _ops(angle):
     return _FLOAT_OPS if isinstance(angle, float) else _ARRAY_OPS
 
 
-def _single_port_scalars(p1: PulseSpec, p2: PulseSpec, t: float, include_xpm: bool):
-    """(nbar1, nbar2, phi1, phi2, phix1, phix2); phix = 0.0 without ``include_xpm``."""
-    phix = (p1.xpm_phase(t), p2.xpm_phase(t)) if include_xpm else (0.0, 0.0)
-    return (
-        p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t), *phix
-    )
-
-
 # Each family computes what does not depend on phi_free once, when it is
 # built.  A Python float squared past the double range raises OverflowError
 # where a numpy scalar gives inf; each family saturates its Kerr weight to
 # inf, which the kernel builders and the phase scan reject with a ValueError.
 
 
-def single_port_family(
-    p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex, include_xpm: bool
-):
-    """Single-port coefficients as a function of phi_lin2.
+def single_port_family(a: LocalPulse, b: LocalPulse, index: StokesIndex, include_xpm: bool):
+    """Single-port coefficients of pulses ``a`` and ``b`` as a function of phi_lin2.
 
     With theta = Phi1(t) - Phi2(t), the total phases taken with the XPM
     shift when ``include_xpm`` is set (phix = 0 otherwise):
@@ -170,14 +162,15 @@ def single_port_family(
         raise ValueError(f"index must be a StokesIndex, got {index!r}")
     if index in (StokesIndex.S0, StokesIndex.S1):
         return lambda phi_lin2: (0.0, 0.0)
-    n1, n2, phi1, phi2, phix1, phix2 = _single_port_scalars(p1, p2, t, include_xpm)
+    n1, n2, phi1, phi2 = a.nbar, b.nbar, a.phi, b.phi
+    phix1, phix2 = (a.phix, b.phix) if include_xpm else (0.0, 0.0)
     imbalance = n1 * phi2 - n2 * phi1
     try:
         weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
     except OverflowError:
         weight = math.inf
-    phase1 = p1.total_phase(t, include_xpm)
-    kerr2 = p2.kerr_phase(t, include_xpm)
+    phase1 = a.total(include_xpm)
+    kerr2 = b.kerr(include_xpm)
     s3 = index is StokesIndex.S3
 
     def coefficients(phi_lin2):
@@ -190,8 +183,9 @@ def single_port_family(
     return coefficients
 
 
-def bs_s01_family(p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex):
-    """Beam-splitter S0 / S1 coefficients as a function of phi_lin1.
+def bs_s01_family(a: LocalPulse, b: LocalPulse, bs, which: StokesIndex):
+    """Beam-splitter S0 / S1 coefficients of inputs ``a`` and ``b`` as a
+    function of phi_lin1.
 
     Only the two Kerr pulses mixed on the splitter contribute; the probe on
     the other polarization cancels out of the photon-number observables.
@@ -207,15 +201,15 @@ def bs_s01_family(p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex
     _require_unit_split(bs)
     ref, trans = bs.r, bs.t
     sign = 1.0 if which is StokesIndex.S0 else -1.0
-    n1, n2, phi1, phi2 = p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
+    n1, n2, phi1, phi2 = a.nbar, b.nbar, a.phi, b.phi
     beat = 2.0 * math.sqrt(ref * trans) * math.sqrt(n1 * n2) * (ref * phi1 + sign * trans * phi2)
     spm = ref * trans * (n1 * phi2 - n2 * phi1)
     try:
         weight = ref * trans * (n1 * phi2**2 + n2 * phi1**2)
     except OverflowError:
         weight = math.inf
-    kerr1 = p1.kerr_phase(t)
-    total2 = p2.total_phase(t)
+    kerr1 = a.kerr()
+    total2 = b.total()
 
     def coefficients(phi_lin1):
         dphi = (kerr1 + phi_lin1) - total2
@@ -226,10 +220,9 @@ def bs_s01_family(p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex
     return coefficients
 
 
-def bs_s2_family(
-    p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float, index: StokesIndex
-):
-    """Beam-splitter S2 / S3 coefficients as a function of the probe phase phi_lin3.
+def bs_s2_family(a: LocalPulse, b: LocalPulse, c: LocalPulse, bs, index: StokesIndex):
+    """Beam-splitter S2 / S3 coefficients of inputs ``a``, ``b`` and probe ``c``
+    as a function of the probe phase phi_lin3.
 
     The coherent probe (pulse 3) beats against the monitored output port.
     With psi_j = Phi_j(t) - phi_lin3, both advanced by pi/2 for S3:
@@ -240,15 +233,15 @@ def bs_s2_family(
     if index not in (StokesIndex.S2, StokesIndex.S3):
         raise ValueError(f"index must be S2 or S3, got {index!r}")
     _require_unit_split(bs)
-    _require_coherent(p3, "probe pulse 3")
+    _require_coherent(c, "probe pulse 3")
     ref, trans = bs.r, bs.t
-    n3, phi1, phi2 = p3.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
+    n3, phi1, phi2 = c.nbar, a.phi, b.phi
     try:
         weight1, weight2 = ref * phi1**2, trans * phi2**2
     except OverflowError:
         weight1 = weight2 = math.inf
-    total1 = p1.total_phase(t)
-    total2 = p2.total_phase(t)
+    total1 = a.total()
+    total2 = b.total()
     s3 = index is StokesIndex.S3
 
     def coefficients(phi_lin3):
@@ -271,14 +264,14 @@ def kernel_coh_sq(
     """Coherent pulse 1 + Kerr pulse 2: phi1 = 0, so theta = phi_lin1 - Phi2(t),
     a_h = nbar1 phi2 sin(2 theta) and b_g = nbar1 phi2^2 sin(theta)^2."""
     _require_coherent(p1, "pulse 1")
-    return _kernel(single_port_family(p1, p2, t, index, False), p2.phi_lin)
+    return _kernel(single_port_family(p1.at(t), p2.at(t), index, False), p2.phi_lin)
 
 
 def kernel_two_sq(
     p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
 ) -> CorrelationKernel:
     """Two independently Kerr-propagated pulses (phix = 0, gamma_x is ignored)."""
-    return _kernel(single_port_family(p1, p2, t, index, False), p2.phi_lin)
+    return _kernel(single_port_family(p1.at(t), p2.at(t), index, False), p2.phi_lin)
 
 
 def kernel_xpm(
@@ -286,21 +279,21 @@ def kernel_xpm(
 ) -> CorrelationKernel:
     """Co-propagating pulses with SPM and mutual XPM: the XPM-shifted theta;
     the cross couplings enter b_g only."""
-    return _kernel(single_port_family(p1, p2, t, index, True), p2.phi_lin)
+    return _kernel(single_port_family(p1.at(t), p2.at(t), index, True), p2.phi_lin)
 
 
 def kernel_bs_s01(
     p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex = StokesIndex.S0
 ) -> CorrelationKernel:
     """S0 / S1 fluctuations of the beam-splitter scenario (see :func:`bs_s01_family`)."""
-    return _kernel(bs_s01_family(p1, p2, bs, t, which), p1.phi_lin)
+    return _kernel(bs_s01_family(p1.at(t), p2.at(t), bs, which), p1.phi_lin)
 
 
 def kernel_bs_s2(
     p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float, index: StokesIndex = StokesIndex.S2
 ) -> CorrelationKernel:
     """S2 / S3 fluctuations of the beam-splitter scenario (see :func:`bs_s2_family`)."""
-    return _kernel(bs_s2_family(p1, p2, p3, bs, t, index), p3.phi_lin)
+    return _kernel(bs_s2_family(p1.at(t), p2.at(t), p3.at(t), bs, index), p3.phi_lin)
 
 
 def _spectrum_from_lorentzian(a_h, b_g, lor):

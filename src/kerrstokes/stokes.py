@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ScenarioContractError
-from .pulse import PulseSpec
+from .pulse import LocalPulse, PulseSpec
 
 __all__ = [
     "StokesSummary",
@@ -66,7 +66,7 @@ class StokesSummary:
         return cls(s0, s1, s2, s3, radius, dop)
 
 
-def _require_coherent(pulse: PulseSpec, role: str) -> None:
+def _require_coherent(pulse: PulseSpec | LocalPulse, role: str) -> None:
     if pulse.gamma != 0.0:
         raise ScenarioContractError(
             f"{role} must be coherent (gamma == 0), got gamma = {pulse.gamma}"
@@ -81,22 +81,19 @@ def _require_unit_split(bs) -> None:
         )
 
 
-def _single_port_averages(
-    p1: PulseSpec, p2: PulseSpec, t: float, include_xpm: bool
-) -> StokesSummary:
-    """s2 + i s3 = 2 sqrt(nbar1 nbar2) exp(-(delta1 + delta2)) exp(i [Phi2 - Phi1]).
+def _single_port_averages(a: LocalPulse, b: LocalPulse, include_xpm: bool) -> StokesSummary:
+    """s2 + i s3 = 2 sqrt(nbar1 nbar2) exp(-(delta1 + delta2)) exp(i [Phi2 - Phi1])
+    for pulses ``a`` and ``b`` at the analysis time.
 
     delta = mu; with ``include_xpm`` cross coupling adds its own damping
     exponent mux per pulse and shifts each total phase by -phix.
     """
-    n1 = p1.mean_photons(t)
-    n2 = p2.mean_photons(t)
-    angle = p2.total_phase(t, include_xpm) - p1.total_phase(t, include_xpm)
-    delta1 = p1.spm_damping(t)
-    delta2 = p2.spm_damping(t)
+    n1, n2 = a.nbar, b.nbar
+    angle = b.total(include_xpm) - a.total(include_xpm)
+    delta1, delta2 = a.mu, b.mu
     if include_xpm:
-        delta1 = delta1 + p1.xpm_damping(t)
-        delta2 = delta2 + p2.xpm_damping(t)
+        delta1 = delta1 + a.mux
+        delta2 = delta2 + b.mux
     amp = 2.0 * math.sqrt(n1 * n2) * math.exp(-(delta1 + delta2))
     return StokesSummary.from_components(
         n1 + n2, n1 - n2, amp * math.cos(angle), amp * math.sin(angle)
@@ -107,17 +104,17 @@ def averages_coh_sq(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:
     """Coherent pulse 1 overlapped with Kerr-propagated pulse 2:
     s2 + i s3 = 2 sqrt(nbar1 nbar2) exp(-mu2) exp(i [Phi2 - phi_lin1])."""
     _require_coherent(p1, "pulse 1")
-    return _single_port_averages(p1, p2, t, include_xpm=False)
+    return _single_port_averages(p1.at(t), p2.at(t), include_xpm=False)
 
 
 def averages_two_sq(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:
     """Two independently Kerr-propagated pulses; gamma_x is ignored."""
-    return _single_port_averages(p1, p2, t, include_xpm=False)
+    return _single_port_averages(p1.at(t), p2.at(t), include_xpm=False)
 
 
 def averages_xpm(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:
     """Co-propagating pulses with SPM and mutual XPM."""
-    return _single_port_averages(p1, p2, t, include_xpm=True)
+    return _single_port_averages(p1.at(t), p2.at(t), include_xpm=True)
 
 
 def averages_bs(p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float) -> StokesSummary:
@@ -130,16 +127,12 @@ def averages_bs(p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float) -> St
     """
     _require_unit_split(bs)
     _require_coherent(p3, "probe pulse 3")
-    ref = bs.r
-    trans = bs.t
-    n1 = p1.mean_photons(t)
-    n2 = p2.mean_photons(t)
-    n3 = p3.mean_photons(t)
-    mu1 = p1.spm_damping(t)
-    mu2 = p2.spm_damping(t)
-    phase1 = p1.total_phase(t)
-    phase2 = p2.total_phase(t)
-    probe_phase = p3.phi_lin
+    ref, trans = bs.r, bs.t
+    a, b, c = p1.at(t), p2.at(t), p3.at(t)
+    n1, n2, n3 = a.nbar, b.nbar, c.nbar
+    mu1, mu2 = a.mu, b.mu
+    phase1, phase2 = a.total(), b.total()
+    probe_phase = c.phi_lin
 
     cross12 = (
         2.0

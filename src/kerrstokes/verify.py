@@ -371,7 +371,7 @@ def _check_reductions(col: _Collector, rng):
         general = optimal_phase_two_sq(p1c, p2, t, omega0)
         special = optimal_phase_coh_sq(p1c, p2, t, omega0)
         # S_min cancels terms of size 2 nbar1 phi2 L0 sqrt(1 + phi2^2 L0^2)
-        phi_l0 = p2.spm_phase(t) * lorentzian(omega0)
+        phi_l0 = p2.at(t).phi * lorentzian(omega0)
         scale = max(1.0, 2.0 * p1c.mean_photons(t) * phi_l0 * math.sqrt(1.0 + phi_l0**2))
         worst_phase = max(worst_phase, abs(general.delta_phi_opt - special.delta_phi_opt))
         worst_s = max(worst_s, abs(general.s_min_closed - special.s_min_closed) / scale)

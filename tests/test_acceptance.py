@@ -222,9 +222,10 @@ def test_criterion_06_quarter_turn_duality():
             )
             k2 = build(p1, p2, 0.0, StokesIndex.S2)
             k3 = build(p1, p2, 0.0, StokesIndex.S3)
-            n1, n2 = p1.mean_photons(0.0), p2.mean_photons(0.0)
-            f1, f2 = p1.spm_phase(0.0), p2.spm_phase(0.0)
-            x1, x2 = p1.xpm_phase(0.0), p2.xpm_phase(0.0)
+            a, b = p1.at(0.0), p2.at(0.0)
+            n1, n2 = a.nbar, b.nbar
+            f1, f2 = a.phi, b.phi
+            x1, x2 = a.phix, b.phix
             total = n1 * (f2**2 + x2**2) + n2 * (f1**2 + x1**2)
             if name == "coh_sq":
                 total = n1 * f2**2

@@ -1,4 +1,4 @@
-"""The CLI contract over generated configs: a finite result or a JSON error.
+"""The CLI contract over generated configs and argv: a result or a JSON error.
 
 For every INI file the strategies below can write, ``kerrstokes run`` must
 either exit 0 with strict-JSON stdout and a finite spectrum file, or exit
@@ -7,6 +7,11 @@ stderr.  Any traceback fails the test.  The strategies reach the edges of
 double precision on purpose: denormal normalizations and envelope
 durations, photon numbers up to 1e308 and couplings far outside the weak
 regime.
+
+For every command line drawn from a pool of subcommands, known and unknown
+flags and good and bad values, ``main`` must return 0 having written its
+output, or a documented non-zero code with one JSON error object on stderr
+(4, a failed ``verify``, prints its report instead).  It must never raise.
 """
 
 from __future__ import annotations
@@ -15,13 +20,14 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kerrstokes.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from kerrstokes.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_VERIFY, main
 
 KINDS = {"coh_sq": 2, "two_sq": 2, "xpm": 2, "bs_interf": 3}
 
@@ -133,3 +139,90 @@ def test_run_gives_a_finite_result_or_a_json_error(case):
             assert code in (EXIT_PARSE, EXIT_VALIDATION, EXIT_IO), (code, text)
             assert stdout.getvalue() == ""
             assert "error" in _strict_json(stderr.getvalue()), text
+
+
+# ------------------------------------------------------------------ argv
+
+EXAMPLES = [str(p) for p in sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))]
+# Relative paths resolve in the case's temporary working directory, where
+# "bad.ini" holds a config that does not parse and "missing.ini" is absent.
+FLAG_VALUES = {
+    "--config": EXAMPLES + ["missing.ini", "bad.ini"],
+    "--out": ["out.csv", "out.json", ".", "no/such/dir/out.csv"],
+    "--format": ["csv", "json", "xml"],
+    "--grid": ["0:5:16", "0:5", "a:b:c", "0:5:2e6", "5:0:16", "0:5:1", "0:5:2000000"],
+    "--optimize-at": ["0.5", "0", "-1", "abc", "nan", "1e308"],
+    "--figure-id": ["1", "7", "12", "99", "x"],
+    "--inject-tau-mismatch": ["1.05", "0", "nan", "x"],
+}
+UNKNOWN = ["--bogus", "-x", "extra", "--"]
+OWN_FLAGS = {
+    "run": ["--config", "--out", "--format", "--grid", "--optimize-at"],
+    "figure": ["--figure-id", "--out"],
+    "verify": ["--out", "--inject-tau-mismatch"],
+    "reference-config": [],
+    "bogus": [],
+}
+# verify runs the whole self-check battery, so it is drawn rarely
+SUBCOMMANDS = [
+    "run", "figure", "run", "bogus", "run", "verify", "run", "figure", "reference-config"
+]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    command = draw(st.sampled_from(SUBCOMMANDS + [None]))
+    argv = [] if command is None else [command]
+    own = OWN_FLAGS.get(command) or sorted(FLAG_VALUES)
+    if command == "run" and draw(st.integers(0, 3)):  # mostly a config that can run
+        argv += ["--config", draw(st.sampled_from(EXAMPLES))]
+    if command == "figure" and draw(st.integers(0, 3)):
+        argv += ["--figure-id", draw(st.sampled_from(FLAG_VALUES["--figure-id"]))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 5)) == 0:  # anything from the pool, a lone flag too
+            argv.append(draw(st.sampled_from(UNKNOWN + sorted(FLAG_VALUES))))
+        else:
+            flag = draw(st.sampled_from(own if draw(st.integers(0, 5)) else sorted(FLAG_VALUES)))
+            argv += [flag, draw(st.sampled_from(FLAG_VALUES[flag]))]
+    return argv
+
+
+def _files(root: Path) -> set[Path]:
+    return {p for p in root.rglob("*") if p.is_file()}
+
+
+@settings(
+    max_examples=120,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(command_lines())
+def test_any_command_line_gives_its_output_or_a_json_error(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "bad.ini").write_text("[scenario\nkind = coh_sq\n")
+        before = _files(root)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        written = _files(root) - before
+    out, err = stdout.getvalue(), stderr.getvalue()
+    if code == EXIT_OK:
+        assert err == "", argv
+        command = next(a for a in argv if a in SUBCOMMANDS)
+        if command in ("run", "figure"):
+            assert written and out.count("\n") == 1 and _strict_json(out), argv
+        else:  # verify without --out and reference-config print their output
+            assert written or out, argv
+    elif code == EXIT_VERIFY:
+        assert err == "" and _strict_json(out)["passed"] is False, argv
+    else:
+        assert code in (EXIT_PARSE, EXIT_VALIDATION, EXIT_IO), (code, argv)
+        assert out == "", argv
+        assert err.count("\n") == 1 and "error" in _strict_json(err), argv

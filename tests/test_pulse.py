@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kerrstokes.errors import ApproximationWarning
-from kerrstokes.pulse import GAMMA_WEAK_LIMIT, Envelope, EnvelopeShape, PulseSpec
+from kerrstokes.pulse import GAMMA_WEAK_LIMIT, Envelope, EnvelopeShape, LocalPulse, PulseSpec
 
 PHOTON_NUMBERS = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 COUPLINGS = st.floats(min_value=0.0, max_value=0.1, allow_nan=False)
@@ -54,30 +54,54 @@ def test_gaussian_duration_whose_square_underflows_is_rejected():
     assert Envelope(EnvelopeShape.GAUSSIAN, tau_p=1e-150).amplitude(0.0) == 1.0
 
 
-@pytest.mark.parametrize("shape", [EnvelopeShape.GAUSSIAN, EnvelopeShape.SECH])
+def _bits(value):
+    return [x.hex() for x in np.atleast_1d(np.asarray(value, dtype=float)).tolist()]
+
+
+@pytest.mark.parametrize(
+    "shape", [EnvelopeShape.GAUSSIAN, EnvelopeShape.SECH, EnvelopeShape.CONSTANT]
+)
 def test_nonlinear_quantities_track_local_intensity(shape):
-    pulse = PulseSpec(n0=50.0, envelope=Envelope(shape, tau_p=3.0), gamma=0.02, gamma_x=0.01)
-    for t in (0.0, 1.0, -2.5):
-        nbar = 50.0 * pulse.envelope.amplitude(t) ** 2
-        assert pulse.mean_photons(t) == pytest.approx(nbar, rel=1e-14)
-        assert pulse.spm_phase(t) == pytest.approx(2 * 0.02 * nbar, rel=1e-14)
-        assert pulse.spm_damping(t) == pytest.approx(0.02**2 * nbar / 2, rel=1e-14)
-        assert pulse.xpm_phase(t) == pytest.approx(2 * 0.01 * nbar, rel=1e-14)
-        assert pulse.xpm_damping(t) == pytest.approx(0.01**2 * nbar / 2, rel=1e-14)
+    """Every LocalPulse field is the module docstring's formula, bit for bit,
+    at float times and on an ndarray of times."""
+    envelope = Envelope() if shape is EnvelopeShape.CONSTANT else Envelope(shape, tau_p=3.0)
+    n0, gamma, gamma_x, phi_lin = 50.0, 0.02, 0.01, 0.3
+    pulse = PulseSpec(n0, envelope, gamma, gamma_x, phi_lin)
+    for t in (0.0, 1.0, -2.5, np.array([-4.0, -0.3, 0.0, 0.9, 2.5])):
+        local = pulse.at(t)
+        assert isinstance(local, LocalPulse)
+        assert (local.gamma, local.gamma_x, local.phi_lin) == (gamma, gamma_x, phi_lin)
+        r = envelope.amplitude(t)
+        nbar = n0 * r * r
+        phi, phix = 2.0 * gamma * nbar, 2.0 * gamma_x * nbar
+        formulas = {
+            "nbar": (local.nbar, nbar),
+            "phi": (local.phi, phi),
+            "mu": (local.mu, gamma * gamma * nbar / 2.0),
+            "phix": (local.phix, phix),
+            "mux": (local.mux, gamma_x * gamma_x * nbar / 2.0),
+            "kerr": (local.kerr(), phi),
+            "kerr xpm": (local.kerr(include_xpm=True), phi - phix),
+            "total": (local.total(), phi + phi_lin),
+            "total xpm": (local.total(include_xpm=True), (phi - phix) + phi_lin),
+        }
+        for name, (got, want) in formulas.items():
+            assert np.shape(got) == np.shape(t), (name, t)
+            assert _bits(got) == _bits(want), (name, t)
+        assert _bits(pulse.mean_photons(t)) == _bits(nbar)
 
 
 def test_total_phase_with_and_without_cross_terms():
-    pulse = PulseSpec(n0=10.0, gamma=0.05, gamma_x=0.02, phi_lin=0.3)
-    spm_only = pulse.total_phase(0.0)
-    with_xpm = pulse.total_phase(0.0, include_xpm=True)
-    assert spm_only == pytest.approx(2 * 0.05 * 10 + 0.3, rel=1e-14)
+    local = PulseSpec(n0=10.0, gamma=0.05, gamma_x=0.02, phi_lin=0.3).at(0.0)
+    assert local.total() == pytest.approx(2 * 0.05 * 10 + 0.3, rel=1e-14)
+    with_xpm = local.total(include_xpm=True)
     assert with_xpm == pytest.approx((2 * 0.05 * 10 - 2 * 0.02 * 10) + 0.3, rel=1e-14)
 
 
 def test_total_phase_collapses_bitwise_without_cross_coupling():
     # The xpm -> spm reduction chain depends on this being exact, not approximate.
-    pulse = PulseSpec(n0=123.4, gamma=0.0371, gamma_x=0.0, phi_lin=1.1)
-    assert pulse.total_phase(0.7, include_xpm=True) == pulse.total_phase(0.7)
+    local = PulseSpec(n0=123.4, gamma=0.0371, gamma_x=0.0, phi_lin=1.1).at(0.7)
+    assert local.total(include_xpm=True) == local.total()
 
 
 def test_weak_coupling_warning_thresholds():
@@ -107,8 +131,8 @@ def test_pulse_rejects_invalid_values(kwargs):
 
 @given(n0=PHOTON_NUMBERS, gamma=COUPLINGS)
 def test_spm_phase_linear_in_peak_photons(n0, gamma):
-    doubled = PulseSpec(n0=2 * n0, gamma=gamma).spm_phase(0.0)
-    single = PulseSpec(n0=n0, gamma=gamma).spm_phase(0.0)
+    doubled = PulseSpec(n0=2 * n0, gamma=gamma).at(0.0).phi
+    single = PulseSpec(n0=n0, gamma=gamma).at(0.0).phi
     assert doubled == pytest.approx(2 * single, rel=1e-12, abs=1e-300)
 
 

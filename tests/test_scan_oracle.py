@@ -45,9 +45,10 @@ DRAWS = 12
 
 
 def _total(p, t, include_xpm=False):
+    local = p.at(t)
     if include_xpm:
-        return (p.spm_phase(t) - p.xpm_phase(t)) + p.phi_lin
-    return p.spm_phase(t) + p.phi_lin
+        return (local.phi - local.phix) + local.phi_lin
+    return local.phi + local.phi_lin
 
 
 def _turn(angle, index):
@@ -63,23 +64,21 @@ def _single_port(theta, n1, n2, phi1, phi2, phix1, phix2):
 
 def old_coh_sq(p1, p2, t, index=StokesIndex.S2):
     theta = _turn(p1.phi_lin - _total(p2, t), index)
-    n1 = p1.mean_photons(t)
-    phi2 = p2.spm_phase(t)
+    n1 = p1.at(t).nbar
+    phi2 = p2.at(t).phi
     return n1 * phi2 * math.sin(2.0 * theta), n1 * phi2**2 * math.sin(theta) ** 2
 
 
 def old_two_sq(p1, p2, t, index=StokesIndex.S2):
     theta = _turn(_total(p1, t) - _total(p2, t), index)
-    n1, n2 = p1.mean_photons(t), p2.mean_photons(t)
-    return _single_port(theta, n1, n2, p1.spm_phase(t), p2.spm_phase(t), 0.0, 0.0)
+    a, b = p1.at(t), p2.at(t)
+    return _single_port(theta, a.nbar, b.nbar, a.phi, b.phi, 0.0, 0.0)
 
 
 def old_xpm(p1, p2, t, index=StokesIndex.S2):
     theta = _turn(_total(p1, t, True) - _total(p2, t, True), index)
-    n1, n2 = p1.mean_photons(t), p2.mean_photons(t)
-    return _single_port(
-        theta, n1, n2, p1.spm_phase(t), p2.spm_phase(t), p1.xpm_phase(t), p2.xpm_phase(t)
-    )
+    a, b = p1.at(t), p2.at(t)
+    return _single_port(theta, a.nbar, b.nbar, a.phi, b.phi, a.phix, b.phix)
 
 
 def _bs_s01(dphi, n1, n2, phi1, phi2, ref, trans, sign):
@@ -101,16 +100,17 @@ def _bs_s2(psi1, psi2, n3, phi1, phi2, ref, trans):
 
 
 def old_bs_s01(p1, p2, bs, t, which):
+    a, b = p1.at(t), p2.at(t)
     return _bs_s01(
-        _total(p1, t) - _total(p2, t), p1.mean_photons(t), p2.mean_photons(t),
-        p1.spm_phase(t), p2.spm_phase(t), bs.r, bs.t, 1.0 if which is StokesIndex.S0 else -1.0,
+        _total(p1, t) - _total(p2, t), a.nbar, b.nbar,
+        a.phi, b.phi, bs.r, bs.t, 1.0 if which is StokesIndex.S0 else -1.0,
     )
 
 
 def old_bs_s2(p1, p2, p3, bs, t, index=StokesIndex.S2):
     return _bs_s2(
         _turn(_total(p1, t) - p3.phi_lin, index), _turn(_total(p2, t) - p3.phi_lin, index),
-        p3.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t), bs.r, bs.t,
+        p3.at(t).nbar, p1.at(t).phi, p2.at(t).phi, bs.r, bs.t,
     )
 
 
@@ -192,25 +192,23 @@ def test_kernel_families_match_scalar_formulas():
     )
     p3 = PulseSpec(n0=_u(rng, 10.0, 300.0), phi_lin=_u(rng, 0.0, TWO_PI))
     bs = BeamSplitter(0.3, 0.7)
+    a, b = p1.at(t), p2.at(t)
 
     def single_port(index, x):
         if index in (StokesIndex.S0, StokesIndex.S1):
             return 0.0, 0.0
         theta = _turn(_total(p1, t, True) - _total(replace(p2, phi_lin=x), t, True), index)
-        return _single_port(
-            theta, p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t),
-            p1.xpm_phase(t), p2.xpm_phase(t),
-        )
+        return _single_port(theta, a.nbar, b.nbar, a.phi, b.phi, a.phix, b.phix)
 
     cases = [
-        (single_port_family(p1, p2, t, index, True), lambda x, i=index: single_port(i, x))
+        (single_port_family(a, b, index, True), lambda x, i=index: single_port(i, x))
         for index in StokesIndex
     ] + [
-        (bs_s01_family(p1, p2, bs, t, which),
+        (bs_s01_family(a, b, bs, which),
          lambda x, w=which: old_bs_s01(replace(p1, phi_lin=x), p2, bs, t, w))
         for which in (StokesIndex.S0, StokesIndex.S1)
     ] + [
-        (bs_s2_family(p1, p2, p3, bs, t, index),
+        (bs_s2_family(a, b, p3.at(t), bs, index),
          lambda x, i=index: old_bs_s2(p1, p2, replace(p3, phi_lin=x), bs, t, i))
         for index in S23
     ]

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kerrstokes import optimize, spectra
+from kerrstokes import optimize, scenario, spectra
 from kerrstokes.errors import ConfigValidationError
 from kerrstokes.kernel import RelaxationKernel
 from kerrstokes.optimize import (
@@ -450,36 +450,85 @@ _LOCKED = (  # equal SPM phases, inputs in quadrature: the beam-splitter S2/S3 c
 )
 
 
-@pytest.mark.parametrize("omega0", [0.7, None])
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        config(),
-        config(kind=ScenarioKind.TWO_SQ, pulses=(KERR, KERR), stokes_index=StokesIndex.S3),
-        config(kind=ScenarioKind.XPM, pulses=(KERR, PulseSpec(n0=50.0, gamma_x=0.002))),
-        bs_config(stokes_index=StokesIndex.S1),
-        bs_config(pulses=_LOCKED, stokes_index=StokesIndex.S2),
-    ],
-    ids=["coh_sq", "two_sq", "xpm", "bs_s01", "bs_s2"],
-)
-def test_run_builds_one_family(cfg, omega0, monkeypatch):
+_RUNS = {
+    "coh_sq": config(),
+    "two_sq": config(kind=ScenarioKind.TWO_SQ, pulses=(KERR, KERR), stokes_index=StokesIndex.S3),
+    "xpm": config(kind=ScenarioKind.XPM, pulses=(KERR, PulseSpec(n0=50.0, gamma_x=0.002))),
+    "bs_s01": bs_config(stokes_index=StokesIndex.S1),
+    "bs_s2": bs_config(pulses=_LOCKED, stokes_index=StokesIndex.S2),
+}
+
+
+def _each_run(test):
+    """Run ``test`` on every entry of _RUNS, with and without omega0."""
+    test = pytest.mark.parametrize("name", list(_RUNS))(test)
+    return pytest.mark.parametrize("omega0", [0.7, None])(test)
+
+
+def _run(name, omega0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # xpm with one cross coupling
+        return run(dataclasses.replace(_RUNS[name], omega0=omega0))
+
+
+@_each_run
+def test_run_builds_one_family(name, omega0, monkeypatch):
     """run() builds its kernel family once: the optimizer scans it and the
     kernel is that family at the applied phase.  Every module that binds a
     family function gets the counting wrapper."""
     builds = []
-    for name in ("single_port_family", "bs_s01_family", "bs_s2_family"):
+    for family in ("single_port_family", "bs_s01_family", "bs_s2_family"):
 
-        def counted(*args, _original=getattr(spectra, name), **kwargs):
+        def counted(*args, _original=getattr(spectra, family), **kwargs):
             builds.append(_original.__name__)
             return _original(*args, **kwargs)
 
         for module in (spectra, optimize):
-            monkeypatch.setattr(module, name, counted)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # xpm with one cross coupling
-        result = run(dataclasses.replace(cfg, omega0=omega0))
+            monkeypatch.setattr(module, family, counted)
+    result = _run(name, omega0)
     assert len(builds) == 1, builds
     assert (result.optimum is None) == (omega0 is None)
+
+
+# Envelope evaluations per run(), (with omega0, without).  Each consumer takes
+# one per pulse it reads: validation's default reference, the problem that
+# run() builds (family, closed form and contract share its records), run()'s
+# reference and the averages; with omega0, validation also checks the
+# beam-splitter contract on pulses 1 and 2.
+_AMPLITUDE_CALLS = {
+    "coh_sq": (6, 6), "two_sq": (6, 6), "xpm": (6, 6), "bs_s01": (11, 9), "bs_s2": (10, 8)
+}
+
+
+@_each_run
+def test_run_evaluates_each_envelope_once_per_consumer(name, omega0, monkeypatch):
+    calls = []
+    amplitude = Envelope.amplitude
+
+    def counted(envelope, t):
+        calls.append(t)
+        return amplitude(envelope, t)
+
+    monkeypatch.setattr(Envelope, "amplitude", counted)
+    _run(name, omega0)
+    assert len(calls) == _AMPLITUDE_CALLS[name][omega0 is None], calls
+
+
+@_each_run
+def test_beam_splitter_contract_is_evaluated_only_for_an_optimum(name, omega0, monkeypatch):
+    """Validation and the optimizer each check the contract once when omega0
+    is set; without it nothing reads the contract, so nothing computes it."""
+    checks = []
+    original = optimize._bs_contract_issues
+
+    def counted(*args):
+        checks.append(args)
+        return original(*args)
+
+    for module in (optimize, scenario):
+        monkeypatch.setattr(module, "_bs_contract_issues", counted)
+    _run(name, omega0)
+    assert len(checks) == (2 if name.startswith("bs") and omega0 is not None else 0), checks
 
 
 def test_overflowing_stokes_averages_raise_value_error():

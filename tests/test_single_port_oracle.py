@@ -37,24 +37,27 @@ def _summary(n1, n2, amp, angle):
 
 
 def own_averages_coh_sq(p1, p2, t):
-    n1, n2 = p1.mean_photons(t), p2.mean_photons(t)
-    angle = (p2.spm_phase(t) + p2.phi_lin) - p1.phi_lin
-    return _summary(n1, n2, 2.0 * math.sqrt(n1 * n2) * math.exp(-p2.spm_damping(t)), angle)
+    a, b = p1.at(t), p2.at(t)
+    n1, n2 = a.nbar, b.nbar
+    angle = (b.phi + b.phi_lin) - a.phi_lin
+    return _summary(n1, n2, 2.0 * math.sqrt(n1 * n2) * math.exp(-b.mu), angle)
 
 
 def own_averages_two_sq(p1, p2, t):
-    n1, n2 = p1.mean_photons(t), p2.mean_photons(t)
-    angle = (p2.spm_phase(t) + p2.phi_lin) - (p1.spm_phase(t) + p1.phi_lin)
-    damping = p1.spm_damping(t) + p2.spm_damping(t)
+    a, b = p1.at(t), p2.at(t)
+    n1, n2 = a.nbar, b.nbar
+    angle = (b.phi + b.phi_lin) - (a.phi + a.phi_lin)
+    damping = a.mu + b.mu
     return _summary(n1, n2, 2.0 * math.sqrt(n1 * n2) * math.exp(-damping), angle)
 
 
 def own_averages_xpm(p1, p2, t):
-    n1, n2 = p1.mean_photons(t), p2.mean_photons(t)
-    total1 = (p1.spm_phase(t) - p1.xpm_phase(t)) + p1.phi_lin
-    total2 = (p2.spm_phase(t) - p2.xpm_phase(t)) + p2.phi_lin
-    delta1 = p1.spm_damping(t) + p1.xpm_damping(t)
-    delta2 = p2.spm_damping(t) + p2.xpm_damping(t)
+    a, b = p1.at(t), p2.at(t)
+    n1, n2 = a.nbar, b.nbar
+    total1 = (a.phi - a.phix) + a.phi_lin
+    total2 = (b.phi - b.phix) + b.phi_lin
+    delta1 = a.mu + a.mux
+    delta2 = b.mu + b.mux
     return _summary(n1, n2, 2.0 * math.sqrt(n1 * n2) * math.exp(-(delta1 + delta2)), total2 - total1)
 
 
@@ -68,22 +71,25 @@ def _kernel(theta, index, a, b):
 
 
 def own_kernel_coh_sq(p1, p2, t, index):
-    theta = p1.phi_lin - (p2.spm_phase(t) + p2.phi_lin)
-    n1, phi2 = p1.mean_photons(t), p2.spm_phase(t)
+    a, b = p1.at(t), p2.at(t)
+    theta = a.phi_lin - (b.phi + b.phi_lin)
+    n1, phi2 = a.nbar, b.phi
     return _kernel(theta, index, n1 * phi2, n1 * phi2**2)
 
 
 def own_kernel_two_sq(p1, p2, t, index):
-    theta = (p1.spm_phase(t) + p1.phi_lin) - (p2.spm_phase(t) + p2.phi_lin)
-    n1, n2, phi1, phi2 = p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
+    a, b = p1.at(t), p2.at(t)
+    theta = (a.phi + a.phi_lin) - (b.phi + b.phi_lin)
+    n1, n2, phi1, phi2 = a.nbar, b.nbar, a.phi, b.phi
     return _kernel(theta, index, n1 * phi2 - n2 * phi1, n1 * phi2**2 + n2 * phi1**2)
 
 
 def own_kernel_xpm(p1, p2, t, index):
-    total1 = (p1.spm_phase(t) - p1.xpm_phase(t)) + p1.phi_lin
-    total2 = (p2.spm_phase(t) - p2.xpm_phase(t)) + p2.phi_lin
-    n1, n2, phi1, phi2 = p1.mean_photons(t), p2.mean_photons(t), p1.spm_phase(t), p2.spm_phase(t)
-    phix1, phix2 = p1.xpm_phase(t), p2.xpm_phase(t)
+    a, b = p1.at(t), p2.at(t)
+    total1 = (a.phi - a.phix) + a.phi_lin
+    total2 = (b.phi - b.phix) + b.phi_lin
+    n1, n2, phi1, phi2 = a.nbar, b.nbar, a.phi, b.phi
+    phix1, phix2 = a.phix, b.phix
     weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
     return _kernel(total1 - total2, index, n1 * phi2 - n2 * phi1, weight)
 

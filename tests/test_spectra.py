@@ -176,12 +176,13 @@ def _seeded_families(rng, draws):
             bs = BeamSplitter(r, 1.0 - r)
             for index in StokesIndex:
                 for xpm in (False, True):
-                    family = single_port_family(p1, p2, t, index, xpm)
+                    family = single_port_family(p1.at(t), p2.at(t), index, xpm)
                     yield f"single-port {index.value} xpm={xpm}", family
             for which in (StokesIndex.S0, StokesIndex.S1):
-                yield f"bs_s01 {which.value}", bs_s01_family(p1, p2, bs, t, which)
+                yield f"bs_s01 {which.value}", bs_s01_family(p1.at(t), p2.at(t), bs, which)
             for index in (StokesIndex.S2, StokesIndex.S3):
-                yield f"bs_s2 {index.value}", bs_s2_family(p1, p2, probe, bs, t, index)
+                family = bs_s2_family(p1.at(t), p2.at(t), probe.at(t), bs, index)
+                yield f"bs_s2 {index.value}", family
 
 
 def test_float_and_array_evaluations_are_bit_equal():
