@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Three subcommands::
+Four subcommands::
 
     kerrstokes run    --config FILE [--out PATH] [--format csv|json]
                       [--grid START:STOP:COUNT] [--optimize-at OMEGA0]
     kerrstokes figure --figure-id N [--out DIR]
     kerrstokes verify [--out PATH]
+    kerrstokes reference-config
 
 Exit codes: 0 success, 1 config or command-line parse error, 2 validation /
 contract error, 3 I/O error, 4 verification failure.  Errors are emitted as

@@ -30,15 +30,16 @@ pulse's phi_lin to the anchor's plus ``sign * delta_phi``.
 
 This module alone knows which family, offset, closed form and contract serve
 a kind and Stokes component.  One private builder per optimizer (``_coh_sq``,
-``_two_sq``, ``_xpm``, ``_bs_s01``, ``_bs_s2``) checks its inputs, evaluates
-each pulse once at the analysis time (``PulseSpec.at``), and returns the plain
-tuple ``(family, offset, pulses, closed, contract)``: its family, its closed
-form and its contract all read those records, and the contract is a
-callable that ``_optimize`` evaluates only when an optimum is asked for.
-Each public optimizer is ``_optimize`` of that tuple.
-:func:`kerrstokes.scenario.run` builds the same tuple once per run, takes its
-optimum from ``_optimize`` and its kernel from the same family at the applied
-phase.
+``_two_sq``, ``_xpm``, ``_bs_s01``, ``_bs_s2``) takes the pulses as records
+at the analysis time (``PulseSpec.at``), not the pulses and a time, and
+returns the plain tuple ``(family, offset, records, closed, contract)``: its
+family, its closed form and its contract all read those records, and the
+contract is a callable that ``_optimize`` evaluates only when an optimum is
+asked for.  Each public optimizer first makes its checks on the pulses
+(coh_sq's coherent pulse 1), then evaluates each pulse once and is
+``_optimize`` of that tuple.  :func:`kerrstokes.scenario.run` evaluates its
+pulses once, builds the same tuple from those records, takes its optimum from
+``_optimize`` and its kernel from the same family at the applied phase.
 
 Each optimizer builds its family (:mod:`kerrstokes.spectra`) for the Stokes
 component it is asked for and scans it at the free phase, so the
@@ -136,7 +137,10 @@ class PhaseOptimum:
 @dataclass(frozen=True)
 class Offset:
     """A family's offset convention: at ``delta_phi`` the free pulse
-    ``pulses[free]`` has phi_lin = ``pulses[anchor].phi_lin + sign * delta_phi``."""
+    ``pulses[free]`` has phi_lin = ``pulses[anchor].phi_lin + sign * delta_phi``.
+
+    ``pulses`` are :class:`~kerrstokes.pulse.PulseSpec` or
+    :class:`~kerrstokes.pulse.LocalPulse` records, which move alike."""
 
     free: int
     anchor: int
@@ -146,7 +150,7 @@ class Offset:
         """The free pulse's linear phase at ``delta_phi`` (a float or an ndarray)."""
         return pulses[self.anchor].phi_lin + self.sign * delta_phi
 
-    def apply(self, pulses, delta_phi: float) -> tuple[PulseSpec, ...]:
+    def apply(self, pulses, delta_phi: float) -> tuple:
         """``pulses`` with the free pulse moved to the offset ``delta_phi``."""
         moved = list(pulses)
         moved[self.free] = moved[self.free].with_phase(self.phase(pulses, delta_phi))
@@ -231,7 +235,7 @@ def scan_phase(coefficients, omega0: float):
 
 
 def _optimize(
-    family, offset: Offset, pulses, closed, contract, omega0: float, index: StokesIndex
+    family, offset: Offset, records, closed, contract, omega0: float, index: StokesIndex
 ):
     """The optimum of ``family`` at ``omega0``, scanned under ``offset``.
 
@@ -247,9 +251,9 @@ def _optimize(
     if issues := contract():
         raise ScenarioContractError(issues[0])
 
-    anchor, sign = pulses[offset.anchor].phi_lin, offset.sign
+    anchor, sign = records[offset.anchor].phi_lin, offset.sign
 
-    def coefficients(delta_phi):  # family(offset.phase(pulses, delta_phi))
+    def coefficients(delta_phi):  # family(offset.phase(records, delta_phi))
         return family(anchor + sign * delta_phi)
 
     lor0 = lorentzian(omega0)
@@ -347,13 +351,13 @@ def _bs_s01_closed(n1, n2, phi1, phi2, ref, trans, sign, lor0):
     return math.acos(vertex_cos) - phi1 + phi2, s_closed
 
 
-# Each builder below checks its inputs and returns (family, offset, pulses,
-# closed, contract): the family of one kind and Stokes component, the offset it
-# is scanned under, the pulses it reads, its closed form and a callable that
-# lists the violated preconditions of that closed form.
+# Each builder below takes the records of its pulses and returns (family,
+# offset, records, closed, contract): the family of one kind and Stokes
+# component, the offset it is scanned under, the records it reads, its closed
+# form and a callable that lists the violated preconditions of that closed form.
 
 
-def _single_port(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex, xpm: bool, form):
+def _single_port(a: LocalPulse, b: LocalPulse, index: StokesIndex, xpm: bool, form):
     """The single-port family, the cross phases phix being 0 unless ``xpm``
     is set, scanned in phi_lin2 - phi_lin1.
 
@@ -361,7 +365,6 @@ def _single_port(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex, xpm
     form, which S3 reaches too.  S0 and S1 are conserved, so their optimum
     is degenerate.
     """
-    a, b = p1.at(t), p2.at(t)
     family = single_port_family(a, b, index, xpm)
 
     def closed(lor0):
@@ -370,24 +373,24 @@ def _single_port(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex, xpm
         phix = (a.phix, b.phix) if xpm else (0.0, 0.0)
         return form(*map(np.float64, (a.nbar, b.nbar, a.phi, b.phi, *phix)), lor0)
 
-    return family, SINGLE_PORT_OFFSET, (p1, p2), closed, lambda: ()
+    return family, SINGLE_PORT_OFFSET, (a, b), closed, lambda: ()
 
 
-def _coh_sq(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex):
-    """coh_sq: the probe form with (nbar1, phi2) at contrast 1."""
-    _require_coherent(p1, "pulse 1")
+def _coh_sq(a: LocalPulse, b: LocalPulse, index: StokesIndex):
+    """coh_sq: the probe form with (nbar1, phi2) at contrast 1, for a coherent
+    pulse ``a``, which the caller has checked."""
     return _single_port(
-        p1, p2, t, index, False,
+        a, b, index, False,
         lambda n1, n2, phi1, phi2, phix1, phix2, lor0: _probe_closed(n1, phi2, 1.0, lor0),
     )
 
 
-def _two_sq(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex):
-    return _single_port(p1, p2, t, index, False, _single_port_closed)
+def _two_sq(a: LocalPulse, b: LocalPulse, index: StokesIndex):
+    return _single_port(a, b, index, False, _single_port_closed)
 
 
-def _xpm(p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex):
-    return _single_port(p1, p2, t, index, True, _single_port_closed)
+def _xpm(a: LocalPulse, b: LocalPulse, index: StokesIndex):
+    return _single_port(a, b, index, True, _single_port_closed)
 
 
 def optimal_phase_coh_sq(
@@ -406,7 +409,8 @@ def optimal_phase_coh_sq(
     the spectrum is identically 1 (degenerate optimum), as it is for S0, S1
     and L0 = 0.
     """
-    return _optimize(*_coh_sq(p1, p2, t, index), omega0, index)
+    _require_coherent(p1, "pulse 1")
+    return _optimize(*_coh_sq(p1.at(t), p2.at(t), index), omega0, index)
 
 
 def optimal_phase_two_sq(
@@ -414,14 +418,14 @@ def optimal_phase_two_sq(
 ) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 of ``index`` for two Kerr-squeezed pulses
     (phix = 0; any gamma_x is ignored)."""
-    return _optimize(*_two_sq(p1, p2, t, index), omega0, index)
+    return _optimize(*_two_sq(p1.at(t), p2.at(t), index), omega0, index)
 
 
 def optimal_phase_xpm(
     p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, index: StokesIndex = StokesIndex.S2
 ) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 of ``index`` with SPM and mutual XPM."""
-    return _optimize(*_xpm(p1, p2, t, index), omega0, index)
+    return _optimize(*_xpm(p1.at(t), p2.at(t), index), omega0, index)
 
 
 def _bs_contract_issues(a: LocalPulse, b: LocalPulse, index: StokesIndex) -> list[str]:
@@ -457,9 +461,8 @@ def _bs_contract_issues(a: LocalPulse, b: LocalPulse, index: StokesIndex) -> lis
     return problems
 
 
-def _bs_s01(p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex):
+def _bs_s01(a: LocalPulse, b: LocalPulse, bs, which: StokesIndex):
     """Beam-splitter S0 (``which`` S0) or S1, scanned in phi_lin1 - phi_lin2."""
-    a, b = p1.at(t), p2.at(t)
     family = bs_s01_family(a, b, bs, which)
 
     def closed(lor0):
@@ -467,19 +470,18 @@ def _bs_s01(p1: PulseSpec, p2: PulseSpec, bs, t: float, which: StokesIndex):
         sign = 1.0 if which is StokesIndex.S0 else -1.0
         return _bs_s01_closed(*map(np.float64, scalars), bs.r, bs.t, sign, lor0)
 
-    return family, BS_INPUT_OFFSET, (p1, p2), closed, lambda: _bs_contract_issues(a, b, which)
+    return family, BS_INPUT_OFFSET, (a, b), closed, lambda: _bs_contract_issues(a, b, which)
 
 
-def _bs_s2(p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float, index: StokesIndex):
+def _bs_s2(a: LocalPulse, b: LocalPulse, c: LocalPulse, bs, index: StokesIndex):
     """Beam-splitter S2 or S3, scanned in the probe offset phi_lin2 - phi_lin3."""
-    a, b, c = p1.at(t), p2.at(t), p3.at(t)
     family = bs_s2_family(a, b, c, bs, index)
 
     def closed(lor0):  # phi2 = phi1 by contract
         n3, phi = map(np.float64, (c.nbar, a.phi))
         return _probe_closed(n3, phi, bs.r - bs.t, lor0)
 
-    return family, BS_PROBE_OFFSET, (p1, p2, p3), closed, lambda: _bs_contract_issues(a, b, index)
+    return family, BS_PROBE_OFFSET, (a, b, c), closed, lambda: _bs_contract_issues(a, b, index)
 
 
 def optimal_phase_bs_s01(
@@ -496,7 +498,7 @@ def optimal_phase_bs_s01(
     flagged "arccos-domain", delta_phi_opt is nan and the scan values are
     authoritative.  L0 = 0 makes S = 1 at every offset (degenerate optimum).
     """
-    return _optimize(*_bs_s01(p1, p2, bs, t, which), omega0, which)
+    return _optimize(*_bs_s01(p1.at(t), p2.at(t), bs, which), omega0, which)
 
 
 def optimal_phase_bs_s2(
@@ -522,4 +524,4 @@ def optimal_phase_bs_s2(
     authoritative whenever it finds a deeper minimum (flagged, see
     PhaseOptimum).
     """
-    return _optimize(*_bs_s2(p1, p2, p3, bs, t, index), omega0, index)
+    return _optimize(*_bs_s2(p1.at(t), p2.at(t), p3.at(t), bs, index), omega0, index)

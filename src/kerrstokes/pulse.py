@@ -18,10 +18,12 @@ only route from a pulse to these quantities:
 
 ``LocalPulse.total`` composes the accumulated optical phase: phi + phi_lin
 for self-action alone, or phi - phix + phi_lin when the cross-Kerr shift of
-the partner pulse is included.  The record stores nbar and the pulse's
-constants; phi, mu, phix and mux are computed when read, so a consumer
-never computes a quantity (or overflows on one) that it does not use.  With
-an ndarray of times every field and quantity is an array over t.
+the partner pulse is included, and ``LocalPulse.with_phase`` moves a
+record's linear phase as ``PulseSpec.with_phase`` moves a pulse's.  The
+record stores nbar and the pulse's constants; phi, mu, phix and mux are
+computed when read, so a consumer never computes a quantity (or overflows
+on one) that it does not use.  With an ndarray of times every field and
+quantity is an array over t.
 """
 
 from __future__ import annotations
@@ -191,3 +193,8 @@ class LocalPulse(NamedTuple):
     def total(self, include_xpm: bool = False):
         """Accumulated optical phase: kerr(include_xpm) + phi_lin."""
         return self.kerr(include_xpm) + self.phi_lin
+
+    def with_phase(self, phi_lin) -> "LocalPulse":
+        """This record with another linear phase, as ``PulseSpec.with_phase``
+        moves a pulse; the phase is not checked."""
+        return self._replace(phi_lin=phi_lin)

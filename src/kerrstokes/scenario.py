@@ -11,12 +11,18 @@ non-fatal findings).  :func:`run` produces average Stokes parameters, the
 fluctuation spectrum on the grid and, when Omega0 is given, the phase
 optimum; the spectrum is then evaluated at the optimal phase offset.  What
 differs between kinds (pulse count, coherent pulses, problem, averages,
-default reference) sits in one table.  A kind's problem is the tuple
-``(family, offset, pulses, closed, contract)`` of one
-:mod:`kerrstokes.optimize` builder, chosen by the Stokes component: a run
-builds it once, takes the optimum from it, and evaluates the kernel as
-``family(phase)`` at the free pulse's applied phase, so the spectrum comes
-from the family the optimizer scanned.
+default reference) sits in one table.
+
+A run evaluates each pulse once, as a :class:`~kerrstokes.pulse.LocalPulse`
+record at the analysis time, and everything else reads those records:
+validation (the default reference and the beam-splitter contract), the
+kind's problem, the default reference of the spectrum and the averages.  A
+kind's problem is the tuple ``(family, offset, records, closed, contract)``
+of one :mod:`kerrstokes.optimize` builder, chosen by the Stokes component: a
+run builds it once and takes the optimum from it.  The offset then moves the
+free pulse's record, the kernel is ``family(phase)`` at that record's phase,
+so the spectrum comes from the family the optimizer scanned, and the
+averages read the moved records.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ from . import optimize, spectra, stokes
 from .errors import ConfigValidationError, ValidationIssue
 from .kernel import RelaxationKernel
 from .optimize import PhaseOptimum, _bs_contract_issues
-from .pulse import GAMMA_WEAK_LIMIT, PulseSpec
+from .pulse import GAMMA_WEAK_LIMIT, LocalPulse, PulseSpec
 from .spectra import SpectrumSeries, StokesIndex, spectrum
-from .stokes import BS_UNITARITY_TOL, StokesSummary, averages_bs
+from .stokes import BS_UNITARITY_TOL, StokesSummary
 
 __all__ = [
     "ScenarioKind",
@@ -197,10 +203,19 @@ def collect_issues(
     Field paths follow the config-file layout: pulse1..pulse3, beamsplitter,
     scenario.omega0 and so on.
     """
+    return _issues(config, _records(config))
+
+
+def _records(config: ScenarioConfig) -> tuple[LocalPulse, ...]:
+    """Each pulse of ``config`` at its analysis time: one envelope evaluation each."""
+    return tuple(p.at(config.analysis_time) for p in config.pulses)
+
+
+def _issues(config, records):
+    """:func:`collect_issues`, reading the pulses' records."""
     errors: list[ValidationIssue] = []
     warns: list[ValidationIssue] = []
     kind = config.kind
-    t = config.analysis_time
 
     expected = _KINDS[kind].pulse_count
     if len(config.pulses) != expected:
@@ -273,7 +288,7 @@ def collect_issues(
         errors.append(
             ValidationIssue("scenario.normalization", f"must be > 0, got {config.normalization}")
         )
-    elif config.normalization is None and _KINDS[kind].reference(config, t) <= 0.0:
+    elif config.normalization is None and _KINDS[kind].reference(config, records) <= 0.0:
         errors.append(
             ValidationIssue(
                 "scenario.normalization",
@@ -283,16 +298,16 @@ def collect_issues(
         )
 
     if config.omega0 is not None and config.omega0 >= 0.0:
-        _optimization_issues(config, t, errors, warns)
+        _optimization_issues(config, records, errors, warns)
     return errors, warns
 
 
-def _optimization_issues(config, t, errors, warns):
+def _optimization_issues(config, records, errors, warns):
     """Contract checks that only matter once an optimization is requested."""
     kind = config.kind
     index = config.stokes_index
     if kind is ScenarioKind.BS_INTERF:
-        a, b = config.pulses[0].at(t), config.pulses[1].at(t)
+        a, b = records[:2]
         errors.extend(ValidationIssue("pulses", m) for m in _bs_contract_issues(a, b, index))
     elif index in (StokesIndex.S0, StokesIndex.S1):
         warns.append(
@@ -304,9 +319,9 @@ def _optimization_issues(config, t, errors, warns):
         )
 
 
-def _enforce(config: ScenarioConfig) -> list[ValidationIssue]:
-    """:func:`validate`, returning the warnings it issued."""
-    errors, warns = collect_issues(config)
+def _enforce(config: ScenarioConfig, records) -> list[ValidationIssue]:
+    """:func:`validate` on the pulses' records, returning the warnings it issued."""
+    errors, warns = _issues(config, records)
     if errors:
         raise ConfigValidationError(errors)
     for issue in warns:
@@ -316,7 +331,7 @@ def _enforce(config: ScenarioConfig) -> list[ValidationIssue]:
 
 def validate(config: ScenarioConfig) -> ScenarioConfig:
     """Raise ConfigValidationError on any fatal issue; warn on the rest."""
-    _enforce(config)
+    _enforce(config, _records(config))
     return config
 
 
@@ -326,59 +341,50 @@ def _photon_number(index: StokesIndex) -> bool:
 
 @dataclass(frozen=True)
 class _Kind:
-    """How :func:`run` evaluates one scenario kind."""
+    """How :func:`run` evaluates one scenario kind; each callable takes the
+    config and its pulses' records, which validation has checked."""
 
     pulse_count: int
     coherent: tuple[tuple[int, str], ...]  # (pulse index, role) of pulses with gamma == 0
-    problem: Callable  # (config, t) -> (family, offset, pulses, closed, contract), see optimize
-    averages: Callable  # (config, pulses, t) -> StokesSummary
-    reference: Callable  # (config, t) -> shot-noise intensity of S* by default
+    problem: Callable  # -> (family, offset, records, closed, contract), see optimize
+    averages: Callable  # -> StokesSummary
+    reference: Callable  # -> shot-noise intensity of S* by default
 
 
-def _single_port(kind: ScenarioKind, coherent=()) -> _Kind:
-    """Entry of a single-port kind.
-
-    Its problem is ``optimize._<kind>`` on the configured Stokes component.
-    Its averages are the public ``stokes.averages_<kind>``, looked up when
-    called, so tools that rebind module attributes (profilers, mocks) see
-    every call.
-    """
-    name = kind.value
-    problem = getattr(optimize, f"_{name}")
+def _single_port(problem, include_xpm: bool, coherent=()) -> _Kind:
+    """Entry of a single-port kind whose problem is the ``optimize`` builder
+    ``problem`` on the configured Stokes component."""
     return _Kind(
         pulse_count=2,
         coherent=coherent,
-        problem=lambda config, t: problem(
-            config.pulses[0], config.pulses[1], t, config.stokes_index
-        ),
-        averages=lambda config, p, t: getattr(stokes, f"averages_{name}")(p[0], p[1], t),
-        reference=lambda config, t: config.pulses[0].mean_photons(t),
+        problem=lambda config, r: problem(r[0], r[1], config.stokes_index),
+        averages=lambda config, r: stokes._single_port_averages(r[0], r[1], include_xpm),
+        reference=lambda config, r: r[0].nbar,
     )
 
 
-def _bs_problem(config, t):
-    p, bs, index = config.pulses, config.beamsplitter, config.stokes_index
+def _bs_problem(config, r):
+    bs, index = config.beamsplitter, config.stokes_index
     if _photon_number(index):
-        return optimize._bs_s01(p[0], p[1], bs, t, index)
-    return optimize._bs_s2(p[0], p[1], p[2], bs, t, index)
+        return optimize._bs_s01(r[0], r[1], bs, index)
+    return optimize._bs_s2(r[0], r[1], r[2], bs, index)
 
 
-def _bs_reference(config, t):
-    p = config.pulses
+def _bs_reference(config, r):
     if _photon_number(config.stokes_index):
-        return p[0].mean_photons(t) + p[1].mean_photons(t)
-    return p[2].mean_photons(t)
+        return r[0].nbar + r[1].nbar
+    return r[2].nbar
 
 
 _KINDS = {
-    ScenarioKind.COH_SQ: _single_port(ScenarioKind.COH_SQ, coherent=((0, "pulse 1"),)),
-    ScenarioKind.TWO_SQ: _single_port(ScenarioKind.TWO_SQ),
-    ScenarioKind.XPM: _single_port(ScenarioKind.XPM),
+    ScenarioKind.COH_SQ: _single_port(optimize._coh_sq, False, coherent=((0, "pulse 1"),)),
+    ScenarioKind.TWO_SQ: _single_port(optimize._two_sq, False),
+    ScenarioKind.XPM: _single_port(optimize._xpm, True),
     ScenarioKind.BS_INTERF: _Kind(
         pulse_count=3,
         coherent=((2, "probe pulse"),),
         problem=_bs_problem,
-        averages=lambda config, p, t: averages_bs(p[0], p[1], p[2], config.beamsplitter, t),
+        averages=lambda config, r: stokes._bs_averages(*r, config.beamsplitter),
         reference=_bs_reference,
     ),
 }
@@ -393,12 +399,11 @@ def run(config: ScenarioConfig) -> ScenarioResult:
     linear phases are used as given.  Runs are deterministic: identical
     configs produce bit-identical results.
     """
-    warns = _enforce(config)
+    records = _records(config)
+    warns = _enforce(config, records)
     kind = _KINDS[config.kind]
-    t = config.analysis_time
-    problem = kind.problem(config, t)
+    problem = kind.problem(config, records)
     family, offset = problem[:2]
-    pulses = config.pulses
     optimum = None
     if config.omega0 is not None:
         optimum = optimize._optimize(*problem, config.omega0, config.stokes_index)
@@ -407,12 +412,14 @@ def run(config: ScenarioConfig) -> ScenarioResult:
             if math.isfinite(optimum.delta_phi_opt)
             else optimum.delta_phi_numeric
         )
-        pulses = offset.apply(pulses, chosen)
+        # a finite phase, as PulseSpec.with_phase would check: phi_lin is a checked
+        # PulseSpec field and chosen is finite or the scan's phase in [0, 2pi)
+        records = offset.apply(records, chosen)
     # the family reads the free pulse's phase only through its argument
-    kern = spectra._kernel(family, pulses[offset.free].phi_lin)
-    reference = (
-        config.normalization if config.normalization is not None else kind.reference(config, t)
-    )
+    kern = spectra._kernel(family, records[offset.free].phi_lin)
+    reference = config.normalization
+    if reference is None:
+        reference = kind.reference(config, records)
     series = spectrum(kern, config.omega_grid.to_array(), reference)
-    summary = kind.averages(config, pulses, t)
+    summary = kind.averages(config, records)
     return ScenarioResult(config, summary, series, optimum, tuple(warns))

@@ -127,8 +127,13 @@ def averages_bs(p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float) -> St
     """
     _require_unit_split(bs)
     _require_coherent(p3, "probe pulse 3")
+    return _bs_averages(p1.at(t), p2.at(t), p3.at(t), bs)
+
+
+def _bs_averages(a: LocalPulse, b: LocalPulse, c: LocalPulse, bs) -> StokesSummary:
+    """The body of :func:`averages_bs` for records ``a``, ``b`` and ``c`` at
+    the analysis time; the caller has checked r + t = 1 and a coherent probe."""
     ref, trans = bs.r, bs.t
-    a, b, c = p1.at(t), p2.at(t), p3.at(t)
     n1, n2, n3 = a.nbar, b.nbar, c.nbar
     mu1, mu2 = a.mu, b.mu
     phase1, phase2 = a.total(), b.total()

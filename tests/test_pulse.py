@@ -147,3 +147,10 @@ def test_with_phase_changes_only_the_linear_phase():
     assert strong.phi_lin == 0.0
     with pytest.raises(ValueError, match="phi_lin"):
         strong.with_phase(math.nan)
+
+
+def test_record_with_phase_is_the_moved_pulse_at_t():
+    pulse = PulseSpec(n0=3.0, envelope=Envelope(EnvelopeShape.SECH, 1.5), gamma=0.02, gamma_x=0.01)
+    record = pulse.at(0.4)
+    assert record.with_phase(0.8) == pulse.with_phase(0.8).at(0.4)
+    assert record.phi_lin == 0.0

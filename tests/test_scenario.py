@@ -42,6 +42,7 @@ from kerrstokes.spectra import (
     kernel_xpm,
     spectrum,
 )
+from kerrstokes.stokes import averages_bs, averages_coh_sq, averages_two_sq, averages_xpm
 
 MEDIUM = RelaxationKernel(1.0)
 COH = PulseSpec(n0=1.0)
@@ -369,13 +370,13 @@ def _offset_draws(rng, count):
             yield "bs_s01", ScenarioKind.BS_INTERF, bs_s01, splitters[0], index
 
 
-# family -> its public kernel builder, optimizer and offset record
+# family -> its public kernel builder, optimizer, averages and offset record
 _PUBLIC = {
-    "coh_sq": (kernel_coh_sq, optimal_phase_coh_sq, SINGLE_PORT_OFFSET),
-    "two_sq": (kernel_two_sq, optimal_phase_two_sq, SINGLE_PORT_OFFSET),
-    "xpm": (kernel_xpm, optimal_phase_xpm, SINGLE_PORT_OFFSET),
-    "bs_s01": (kernel_bs_s01, optimal_phase_bs_s01, BS_INPUT_OFFSET),
-    "bs_s2": (kernel_bs_s2, optimal_phase_bs_s2, BS_PROBE_OFFSET),
+    "coh_sq": (kernel_coh_sq, optimal_phase_coh_sq, averages_coh_sq, SINGLE_PORT_OFFSET),
+    "two_sq": (kernel_two_sq, optimal_phase_two_sq, averages_two_sq, SINGLE_PORT_OFFSET),
+    "xpm": (kernel_xpm, optimal_phase_xpm, averages_xpm, SINGLE_PORT_OFFSET),
+    "bs_s01": (kernel_bs_s01, optimal_phase_bs_s01, averages_bs, BS_INPUT_OFFSET),
+    "bs_s2": (kernel_bs_s2, optimal_phase_bs_s2, averages_bs, BS_PROBE_OFFSET),
 }
 
 
@@ -398,13 +399,14 @@ def test_run_applies_the_offset_its_optimizer_scanned():
     scan and the applied phase away from the closed form's convention.
 
     Each run, with and without Omega0, is also the public route bit for bit:
-    its optimum is ``optimal_phase_<kind>`` and its spectrum that of
-    ``kernel_<kind>`` on the pulses the offset moved (or on the configured
-    ones)."""
+    its optimum is ``optimal_phase_<kind>``, its spectrum that of
+    ``kernel_<kind>`` and its summary that of ``averages_<kind>``
+    (``averages_bs`` on all three pulses and the splitter), both on the
+    pulses the offset moved (or on the configured ones)."""
     rng = np.random.default_rng(2024)
     routes = {}
     for family, kind, pulses, bs, index in _offset_draws(rng, 20):
-        kernel, optimal_phase, offset = _PUBLIC[family]
+        kernel, optimal_phase, averages, offset = _PUBLIC[family]
         for omega0 in (float(rng.uniform(0.0, 3.0)), None):
             start = 0.5 if omega0 is None else omega0
             cfg = config(
@@ -428,6 +430,8 @@ def test_run_applies_the_offset_its_optimizer_scanned():
             for name in ("omega", "values", "normalized"):
                 got, want = getattr(result.spectrum, name), getattr(expected, name)
                 assert got.tobytes() == want.tobytes(), (family, index, omega0, name)
+            summary = averages(*moved, 0.0) if bs is None else averages(*moved, bs, 0.0)
+            assert repr(result.summary) == repr(summary), (family, index, omega0)
             if omega0 is None:
                 continue
             at_omega0 = result.spectrum.values[0]
@@ -490,13 +494,13 @@ def test_run_builds_one_family(name, omega0, monkeypatch):
     assert (result.optimum is None) == (omega0 is None)
 
 
-# Envelope evaluations per run(), (with omega0, without).  Each consumer takes
-# one per pulse it reads: validation's default reference, the problem that
-# run() builds (family, closed form and contract share its records), run()'s
-# reference and the averages; with omega0, validation also checks the
-# beam-splitter contract on pulses 1 and 2.
+# Envelope evaluations per run(), (with omega0, without): one per pulse.  run()
+# evaluates each pulse once into a record, and every consumer reads those
+# records: validation (default reference and beam-splitter contract), the
+# problem (family, closed form and contract), the applied offset, the
+# spectrum's reference and the averages.
 _AMPLITUDE_CALLS = {
-    "coh_sq": (6, 6), "two_sq": (6, 6), "xpm": (6, 6), "bs_s01": (11, 9), "bs_s2": (10, 8)
+    "coh_sq": (2, 2), "two_sq": (2, 2), "xpm": (2, 2), "bs_s01": (3, 3), "bs_s2": (3, 3)
 }
 
 
