@@ -17,10 +17,10 @@ rows are measured, each as the minimum of ``REPEATS`` runs:
   over the four configs with ``omega0`` removed (no phase scan),
   ``validate``, the phase scan (one ``optimal_phase_two_sq`` call, closed
   form included), the closed form alone (the two_sq optimizer's private
-  builder, ``optimize._two_sq``, and its closed form at the config's
-  omega0, with no scan; a builder that takes records rather than a time is
-  handed ``p.at(t)`` of each pulse, the same work), one ``optimal_phase_bs_s01`` call on the bs_interf config
-  and one ``optimal_phase_bs_s2`` call on quadrature-locked pulses with S3
+  builder, ``optimize._two_sq``, on ``p.at(t)`` of each pulse, and its
+  closed form at the config's omega0, with no scan), one
+  ``optimal_phase_bs_s01`` call on the bs_interf config and one
+  ``optimal_phase_bs_s2`` call on quadrature-locked pulses with S3
   selected, the kernel build (``kernel_two_sq``), ``spectrum`` on the
   default 512-point grid, the CSV write, one in-process ``kerrstokes run``
   export of 10^5 points to CSV and to JSON, one scalar ``wk_numeric`` call
@@ -43,7 +43,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import inspect
 import io
 import json
 import math
@@ -139,12 +138,7 @@ def measure_layers(tree: Path) -> dict[str, float]:
     t, omega0 = two_sq.analysis_time, two_sq.omega0
     rows["scan_phase two_sq"] = per_call(lambda: optimal_phase_two_sq(p1, p2, t, omega0))
     lor0, s2 = lorentzian(omega0), StokesIndex.S2
-    if "t" in inspect.signature(optimize._two_sq).parameters:  # builders of pulses and t
-        rows["closed form two_sq"] = per_call(lambda: optimize._two_sq(p1, p2, t, s2)[3](lor0))
-    else:  # builders of records
-        rows["closed form two_sq"] = per_call(
-            lambda: optimize._two_sq(p1.at(t), p2.at(t), s2)[3](lor0)
-        )
+    rows["closed form two_sq"] = per_call(lambda: optimize._two_sq(p1.at(t), p2.at(t), s2)[3](lor0))
     bs = results["bs_interf"].config
     b1, b2, _ = bs.pulses
     half = bs.beamsplitter

@@ -8,7 +8,11 @@ S(Omega0) with an independent numerical route: a dense scan over [0, 2pi)
 refined by a golden-section search.  Both answers are reported side by
 side in a :class:`PhaseOptimum` and never averaged or substituted for one
 another; disagreements beyond tolerance are flagged, not hidden.  The
-single-port kinds coh_sq, two_sq and xpm share one optimizer body.
+single-port kinds coh_sq, two_sq and xpm share one optimizer body, which
+always reads the cross phases phix, and two_sq and xpm share one builder.
+The public coh_sq and two_sq optimizers hand it records with gamma_x set to
+0 (``pulse._spm``), so any gamma_x of theirs is ignored.  The beam-splitter
+families read the SPM phases alone.
 
 Each closed form is one plain function of numpy scalars and L(Omega0):
 :func:`_single_port_closed` (two_sq, xpm), :func:`_bs_s01_closed` and
@@ -29,10 +33,10 @@ pulse's phi_lin to the anchor's plus ``sign * delta_phi``.
 * ``BS_PROBE_OFFSET = (2, 1, -1)``: delta_phi = phi_lin2 - phi_lin3 (beam-splitter S2/S3)
 
 This module alone knows which family, offset, closed form and contract serve
-a kind and Stokes component.  One private builder per optimizer (``_coh_sq``,
-``_two_sq``, ``_xpm``, ``_bs_s01``, ``_bs_s2``) takes the pulses as records
-at the analysis time (``PulseSpec.at``), not the pulses and a time, and
-returns the plain tuple ``(family, offset, records, closed, contract)``: its
+a kind and Stokes component.  One private builder per closed form
+(``_coh_sq``, ``_two_sq`` for two_sq and xpm, ``_bs_s01``, ``_bs_s2``) takes
+the pulses as records at the analysis time (``PulseSpec.at``), not the
+pulses and a time, and returns the plain tuple ``(family, offset, records, closed, contract)``: its
 family, its closed form and its contract all read those records, and the
 contract is a callable that ``_optimize`` evaluates only when an optimum is
 asked for.  Each public optimizer first makes its checks on the pulses
@@ -63,7 +67,7 @@ import numpy as np
 
 from .errors import ScenarioContractError
 from .kernel import lorentzian
-from .pulse import LocalPulse, PulseSpec
+from .pulse import LocalPulse, PulseSpec, _spm
 from .spectra import (
     HALF_PI,
     StokesIndex,
@@ -357,21 +361,19 @@ def _bs_s01_closed(n1, n2, phi1, phi2, ref, trans, sign, lor0):
 # form and a callable that lists the violated preconditions of that closed form.
 
 
-def _single_port(a: LocalPulse, b: LocalPulse, index: StokesIndex, xpm: bool, form):
-    """The single-port family, the cross phases phix being 0 unless ``xpm``
-    is set, scanned in phi_lin2 - phi_lin1.
+def _single_port(a: LocalPulse, b: LocalPulse, index: StokesIndex, form):
+    """The single-port family, scanned in phi_lin2 - phi_lin1.
 
     ``form(nbar1, nbar2, phi1, phi2, phix1, phix2, lor0)`` is the S2 closed
     form, which S3 reaches too.  S0 and S1 are conserved, so their optimum
     is degenerate.
     """
-    family = single_port_family(a, b, index, xpm)
+    family = single_port_family(a, b, index)
 
     def closed(lor0):
         if index in (StokesIndex.S0, StokesIndex.S1):
             return None
-        phix = (a.phix, b.phix) if xpm else (0.0, 0.0)
-        return form(*map(np.float64, (a.nbar, b.nbar, a.phi, b.phi, *phix)), lor0)
+        return form(*map(np.float64, (a.nbar, b.nbar, a.phi, b.phi, a.phix, b.phix)), lor0)
 
     return family, SINGLE_PORT_OFFSET, (a, b), closed, lambda: ()
 
@@ -380,17 +382,15 @@ def _coh_sq(a: LocalPulse, b: LocalPulse, index: StokesIndex):
     """coh_sq: the probe form with (nbar1, phi2) at contrast 1, for a coherent
     pulse ``a``, which the caller has checked."""
     return _single_port(
-        a, b, index, False,
+        a, b, index,
         lambda n1, n2, phi1, phi2, phix1, phix2, lor0: _probe_closed(n1, phi2, 1.0, lor0),
     )
 
 
 def _two_sq(a: LocalPulse, b: LocalPulse, index: StokesIndex):
-    return _single_port(a, b, index, False, _single_port_closed)
-
-
-def _xpm(a: LocalPulse, b: LocalPulse, index: StokesIndex):
-    return _single_port(a, b, index, True, _single_port_closed)
+    """two_sq and xpm: the general single-port form, which reads the records'
+    cross phases (0 on two_sq's records)."""
+    return _single_port(a, b, index, _single_port_closed)
 
 
 def optimal_phase_coh_sq(
@@ -410,7 +410,7 @@ def optimal_phase_coh_sq(
     and L0 = 0.
     """
     _require_coherent(p1, "pulse 1")
-    return _optimize(*_coh_sq(p1.at(t), p2.at(t), index), omega0, index)
+    return _optimize(*_coh_sq(*_spm(t, p1, p2), index), omega0, index)
 
 
 def optimal_phase_two_sq(
@@ -418,14 +418,14 @@ def optimal_phase_two_sq(
 ) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 of ``index`` for two Kerr-squeezed pulses
     (phix = 0; any gamma_x is ignored)."""
-    return _optimize(*_two_sq(p1.at(t), p2.at(t), index), omega0, index)
+    return _optimize(*_two_sq(*_spm(t, p1, p2), index), omega0, index)
 
 
 def optimal_phase_xpm(
     p1: PulseSpec, p2: PulseSpec, t: float, omega0: float, index: StokesIndex = StokesIndex.S2
 ) -> PhaseOptimum:
     """Optimal phi_lin2 - phi_lin1 of ``index`` with SPM and mutual XPM."""
-    return _optimize(*_xpm(p1.at(t), p2.at(t), index), omega0, index)
+    return _optimize(*_two_sq(p1.at(t), p2.at(t), index), omega0, index)
 
 
 def _bs_contract_issues(a: LocalPulse, b: LocalPulse, index: StokesIndex) -> list[str]:

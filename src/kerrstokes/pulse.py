@@ -16,14 +16,16 @@ only route from a pulse to these quantities:
     phix(t)  = 2 gamma_x nbar(t)         XPM-induced nonlinear phase
     mux(t)   = gamma_x^2 nbar(t) / 2     XPM coherence damping exponent
 
-``LocalPulse.total`` composes the accumulated optical phase: phi + phi_lin
-for self-action alone, or phi - phix + phi_lin when the cross-Kerr shift of
-the partner pulse is included, and ``LocalPulse.with_phase`` moves a
-record's linear phase as ``PulseSpec.with_phase`` moves a pulse's.  The
-record stores nbar and the pulse's constants; phi, mu, phix and mux are
-computed when read, so a consumer never computes a quantity (or overflows
-on one) that it does not use.  With an ndarray of times every field and
-quantity is an array over t.
+``LocalPulse.total`` composes the accumulated optical phase phi - phix +
+phi_lin, the cross-Kerr shift of the partner pulse entering with the
+opposite sign to the self-action term.  Cross coupling is data, not a mode:
+a kind without XPM reads records whose gamma_x is 0 (``_spm`` evaluates
+pulses so), where phix and mux are 0 and the same formulas hold.
+``LocalPulse.with_phase`` moves a record's linear phase as
+``PulseSpec.with_phase`` moves a pulse's.  The record stores nbar and the
+pulse's constants; phi, mu, phix and mux are computed when read, so a
+consumer never computes a quantity (or overflows on one) that it does not
+use.  With an ndarray of times every field and quantity is an array over t.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class Envelope:
             return t * 0.0 + 1.0
         if self.shape is EnvelopeShape.GAUSSIAN:
             return np.exp(-(t * t) / (2.0 * self.tau_p * self.tau_p))
-        return 1.0 / np.cosh(t / self.tau_p)
+        with np.errstate(over="ignore"):  # cosh overflows to inf far out: r = 0
+            return 1.0 / np.cosh(t / self.tau_p)
 
 
 @dataclass(frozen=True)
@@ -181,20 +184,26 @@ class LocalPulse(NamedTuple):
         """XPM damping exponent gamma_x^2 nbar / 2."""
         return self.gamma_x * self.gamma_x * self.nbar / 2.0
 
-    def kerr(self, include_xpm: bool = False):
-        """Nonlinear part of the optical phase: phi, or phi - phix.
+    def kerr(self):
+        """Nonlinear part of the optical phase: phi - phix.
 
-        With ``include_xpm`` the cross-Kerr contribution enters with the
-        opposite sign to the self-action term, reflecting the relative sign
-        of the two couplings in the interaction picture used here.
+        The cross-Kerr contribution enters with the opposite sign to the
+        self-action term, reflecting the relative sign of the two couplings
+        in the interaction picture used here.
         """
-        return self.phi - self.phix if include_xpm else self.phi
+        return self.phi - self.phix
 
-    def total(self, include_xpm: bool = False):
-        """Accumulated optical phase: kerr(include_xpm) + phi_lin."""
-        return self.kerr(include_xpm) + self.phi_lin
+    def total(self):
+        """Accumulated optical phase: kerr() + phi_lin."""
+        return self.kerr() + self.phi_lin
 
     def with_phase(self, phi_lin) -> "LocalPulse":
         """This record with another linear phase, as ``PulseSpec.with_phase``
         moves a pulse; the phase is not checked."""
         return self._replace(phi_lin=phi_lin)
+
+
+def _spm(t, *pulses) -> tuple[LocalPulse, ...]:
+    """Each pulse at time t with its cross coupling gamma_x set to 0: the
+    records of a kind without XPM, which ignores any gamma_x."""
+    return tuple(p.at(t)._replace(gamma_x=0.0) for p in pulses)

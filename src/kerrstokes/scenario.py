@@ -22,7 +22,10 @@ of one :mod:`kerrstokes.optimize` builder, chosen by the Stokes component: a
 run builds it once and takes the optimum from it.  The offset then moves the
 free pulse's record, the kernel is ``family(phase)`` at that record's phase,
 so the spectrum comes from the family the optimizer scanned, and the
-averages read the moved records.
+averages read the moved records.  Cross coupling is record data: validation
+rejects gamma_x != 0 outside xpm, so a run hands every kind its records
+unchanged, and two_sq and xpm share one builder.  The beam-splitter code
+reads the SPM phases phi + phi_lin alone.
 """
 
 from __future__ import annotations
@@ -351,14 +354,16 @@ class _Kind:
     reference: Callable  # -> shot-noise intensity of S* by default
 
 
-def _single_port(problem, include_xpm: bool, coherent=()) -> _Kind:
+def _single_port(problem, coherent=()) -> _Kind:
     """Entry of a single-port kind whose problem is the ``optimize`` builder
-    ``problem`` on the configured Stokes component."""
+    ``problem`` on the configured Stokes component.  The problem and the
+    averages read the records' cross coupling, which validation has checked
+    is 0 outside xpm."""
     return _Kind(
         pulse_count=2,
         coherent=coherent,
         problem=lambda config, r: problem(r[0], r[1], config.stokes_index),
-        averages=lambda config, r: stokes._single_port_averages(r[0], r[1], include_xpm),
+        averages=lambda config, r: stokes._single_port_averages(r[0], r[1]),
         reference=lambda config, r: r[0].nbar,
     )
 
@@ -377,9 +382,9 @@ def _bs_reference(config, r):
 
 
 _KINDS = {
-    ScenarioKind.COH_SQ: _single_port(optimize._coh_sq, False, coherent=((0, "pulse 1"),)),
-    ScenarioKind.TWO_SQ: _single_port(optimize._two_sq, False),
-    ScenarioKind.XPM: _single_port(optimize._xpm, True),
+    ScenarioKind.COH_SQ: _single_port(optimize._coh_sq, coherent=((0, "pulse 1"),)),
+    ScenarioKind.TWO_SQ: _single_port(optimize._two_sq),
+    ScenarioKind.XPM: _single_port(optimize._two_sq),
     ScenarioKind.BS_INTERF: _Kind(
         pulse_count=3,
         coherent=((2, "probe pulse"),),

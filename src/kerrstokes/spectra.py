@@ -22,9 +22,13 @@ function: ``single_port_family``, ``bs_s01_family`` and ``bs_s2_family``
 take the pulses at the analysis time, as :class:`~kerrstokes.pulse.LocalPulse`
 records, and return ``coefficients(phi_free) -> (a_h, b_g)``, where
 phi_free is the linear phase of the family's free pulse (phi_lin2,
-phi_lin1 and the probe's phi_lin3 respectively).  The five ``kernel_*``
-builders take pulses and a time, pass the families ``pulse.at(t)``, and
-evaluate them at the configured phase; the phase scan in
+phi_lin1 and the probe's phi_lin3 respectively).  The single-port family
+always reads the cross phases phix: xpm hands it ``pulse.at(t)``, and
+coh_sq and two_sq hand it the records with gamma_x set to 0
+(``pulse._spm``), so any gamma_x of theirs is ignored.  The beam-splitter
+families read the SPM phases phi alone, so they ignore gamma_x too.  The
+five ``kernel_*`` builders take pulses and a time, pass the families their
+records, and evaluate them at the configured phase; the phase scan in
 :mod:`kerrstokes.optimize` evaluates it on an ndarray of offset phases, so
 both share one interference angle and one formula per family.  A family
 called on a float angle takes its sines, cosines and squares from libm
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import lorentzian
-from .pulse import LocalPulse, PulseSpec
+from .pulse import LocalPulse, PulseSpec, _spm
 from .stokes import _require_coherent, _require_unit_split
 
 __all__ = [
@@ -144,33 +148,31 @@ def _ops(angle):
 # inf, which the kernel builders and the phase scan reject with a ValueError.
 
 
-def single_port_family(a: LocalPulse, b: LocalPulse, index: StokesIndex, include_xpm: bool):
+def single_port_family(a: LocalPulse, b: LocalPulse, index: StokesIndex):
     """Single-port coefficients of pulses ``a`` and ``b`` as a function of phi_lin2.
 
-    With theta = Phi1(t) - Phi2(t), the total phases taken with the XPM
-    shift when ``include_xpm`` is set (phix = 0 otherwise):
+    With theta = Phi1(t) - Phi2(t), the total phases with their XPM shifts:
 
     a_h = (nbar1 phi2 - nbar2 phi1) sin(2 theta)
     b_g = (nbar1 [phi2^2 + phix2^2] + nbar2 [phi1^2 + phix1^2]) sin(theta)^2
 
-    two_sq is the case phix = 0 and coh_sq additionally has phi1 = 0; the
-    vanishing terms drop out exactly, so all three kinds share these bits.
-    S3 advances theta by pi/2.  S0 and S1 are photon-number observables,
+    two_sq is the case gamma_x = 0 (phix = 0) and coh_sq additionally has
+    phi1 = 0; the vanishing terms drop out exactly, so all three kinds share
+    these bits.  S3 advances theta by pi/2.  S0 and S1 are photon-number observables,
     conserved here, so their coefficients are 0 at every phase.
     """
     if not isinstance(index, StokesIndex):
         raise ValueError(f"index must be a StokesIndex, got {index!r}")
     if index in (StokesIndex.S0, StokesIndex.S1):
         return lambda phi_lin2: (0.0, 0.0)
-    n1, n2, phi1, phi2 = a.nbar, b.nbar, a.phi, b.phi
-    phix1, phix2 = (a.phix, b.phix) if include_xpm else (0.0, 0.0)
+    n1, n2, phi1, phi2, phix1, phix2 = a.nbar, b.nbar, a.phi, b.phi, a.phix, b.phix
     imbalance = n1 * phi2 - n2 * phi1
     try:
         weight = n1 * (phi2**2 + phix2**2) + n2 * (phi1**2 + phix1**2)
     except OverflowError:
         weight = math.inf
-    phase1 = a.total(include_xpm)
-    kerr2 = b.kerr(include_xpm)
+    phase1 = a.total()
+    kerr2 = b.kerr()
     s3 = index is StokesIndex.S3
 
     def coefficients(phi_lin2):
@@ -190,7 +192,9 @@ def bs_s01_family(a: LocalPulse, b: LocalPulse, bs, which: StokesIndex):
     Only the two Kerr pulses mixed on the splitter contribute; the probe on
     the other polarization cancels out of the photon-number observables.
     ``which`` selects the relative sign of the transmitted-pulse term:
-    + for S0, - for S1.  With dphi = Phi1(t) - Phi2(t):
+    + for S0, - for S1.  The model has no cross coupling, so the phases are
+    the SPM ones, Phi = phi + phi_lin, whatever gamma_x a record carries.
+    With dphi = Phi1(t) - Phi2(t):
 
     a_h = -( 2 sqrt(R T nbar1 nbar2) [R phi1 +/- T phi2] cos(dphi)
              + R T [nbar1 phi2 - nbar2 phi1] sin(2 dphi) )
@@ -208,8 +212,8 @@ def bs_s01_family(a: LocalPulse, b: LocalPulse, bs, which: StokesIndex):
         weight = ref * trans * (n1 * phi2**2 + n2 * phi1**2)
     except OverflowError:
         weight = math.inf
-    kerr1 = a.kerr()
-    total2 = b.total()
+    kerr1 = a.phi
+    total2 = b.phi + b.phi_lin
 
     def coefficients(phi_lin1):
         dphi = (kerr1 + phi_lin1) - total2
@@ -225,7 +229,8 @@ def bs_s2_family(a: LocalPulse, b: LocalPulse, c: LocalPulse, bs, index: StokesI
     as a function of the probe phase phi_lin3.
 
     The coherent probe (pulse 3) beats against the monitored output port.
-    With psi_j = Phi_j(t) - phi_lin3, both advanced by pi/2 for S3:
+    With the SPM phases Phi_j = phi_j + phi_lin_j (see :func:`bs_s01_family`)
+    and psi_j = Phi_j(t) - phi_lin3, both advanced by pi/2 for S3:
 
     a_h = nbar3 ( R phi1 sin(2 psi1) - T phi2 sin(2 psi2) )
     b_g = nbar3 ( R phi1^2 cos(psi1)^2 + T phi2^2 sin(psi2)^2 )
@@ -240,8 +245,8 @@ def bs_s2_family(a: LocalPulse, b: LocalPulse, c: LocalPulse, bs, index: StokesI
         weight1, weight2 = ref * phi1**2, trans * phi2**2
     except OverflowError:
         weight1 = weight2 = math.inf
-    total1 = a.total()
-    total2 = b.total()
+    total1 = a.phi + a.phi_lin
+    total2 = b.phi + b.phi_lin
     s3 = index is StokesIndex.S3
 
     def coefficients(phi_lin3):
@@ -264,14 +269,14 @@ def kernel_coh_sq(
     """Coherent pulse 1 + Kerr pulse 2: phi1 = 0, so theta = phi_lin1 - Phi2(t),
     a_h = nbar1 phi2 sin(2 theta) and b_g = nbar1 phi2^2 sin(theta)^2."""
     _require_coherent(p1, "pulse 1")
-    return _kernel(single_port_family(p1.at(t), p2.at(t), index, False), p2.phi_lin)
+    return _kernel(single_port_family(*_spm(t, p1, p2), index), p2.phi_lin)
 
 
 def kernel_two_sq(
     p1: PulseSpec, p2: PulseSpec, t: float, index: StokesIndex = StokesIndex.S2
 ) -> CorrelationKernel:
     """Two independently Kerr-propagated pulses (phix = 0, gamma_x is ignored)."""
-    return _kernel(single_port_family(p1.at(t), p2.at(t), index, False), p2.phi_lin)
+    return _kernel(single_port_family(*_spm(t, p1, p2), index), p2.phi_lin)
 
 
 def kernel_xpm(
@@ -279,7 +284,7 @@ def kernel_xpm(
 ) -> CorrelationKernel:
     """Co-propagating pulses with SPM and mutual XPM: the XPM-shifted theta;
     the cross couplings enter b_g only."""
-    return _kernel(single_port_family(p1.at(t), p2.at(t), index, True), p2.phi_lin)
+    return _kernel(single_port_family(p1.at(t), p2.at(t), index), p2.phi_lin)
 
 
 def kernel_bs_s01(

@@ -6,9 +6,11 @@ at a common analysis time t.  The scenario kinds fall into two families:
 * single-port: ``averages_xpm`` (co-propagating pulses with self- and
   cross-phase modulation), ``averages_two_sq`` (no cross coupling) and
   ``averages_coh_sq`` (pulse 1 coherent), each a special case of the one
-  before, so the three wrap one body.
+  before, so the three wrap one body, which always reads the cross
+  coupling: two_sq and coh_sq hand it records with gamma_x set to 0.
 * beam splitter: ``averages_bs``, two Kerr pulses mixed on a beam
-  splitter, with a coherent probe overlapped on one output port.
+  splitter, with a coherent probe overlapped on one output port.  Its
+  body reads the SPM phases phi + phi_lin alone, so gamma_x is ignored.
 
 The Kerr interaction rotates the mean phasor of each pulse by its nonlinear
 phase and shrinks it by exp(-mu); the formulas below are the resulting
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ScenarioContractError
-from .pulse import LocalPulse, PulseSpec
+from .pulse import LocalPulse, PulseSpec, _spm
 
 __all__ = [
     "StokesSummary",
@@ -81,19 +83,16 @@ def _require_unit_split(bs) -> None:
         )
 
 
-def _single_port_averages(a: LocalPulse, b: LocalPulse, include_xpm: bool) -> StokesSummary:
+def _single_port_averages(a: LocalPulse, b: LocalPulse) -> StokesSummary:
     """s2 + i s3 = 2 sqrt(nbar1 nbar2) exp(-(delta1 + delta2)) exp(i [Phi2 - Phi1])
     for pulses ``a`` and ``b`` at the analysis time.
 
-    delta = mu; with ``include_xpm`` cross coupling adds its own damping
-    exponent mux per pulse and shifts each total phase by -phix.
+    delta = mu + mux: cross coupling adds its own damping exponent mux per
+    pulse and shifts each total phase by -phix (both 0 when gamma_x = 0).
     """
     n1, n2 = a.nbar, b.nbar
-    angle = b.total(include_xpm) - a.total(include_xpm)
-    delta1, delta2 = a.mu, b.mu
-    if include_xpm:
-        delta1 = delta1 + a.mux
-        delta2 = delta2 + b.mux
+    angle = b.total() - a.total()
+    delta1, delta2 = a.mu + a.mux, b.mu + b.mux
     amp = 2.0 * math.sqrt(n1 * n2) * math.exp(-(delta1 + delta2))
     return StokesSummary.from_components(
         n1 + n2, n1 - n2, amp * math.cos(angle), amp * math.sin(angle)
@@ -104,17 +103,17 @@ def averages_coh_sq(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:
     """Coherent pulse 1 overlapped with Kerr-propagated pulse 2:
     s2 + i s3 = 2 sqrt(nbar1 nbar2) exp(-mu2) exp(i [Phi2 - phi_lin1])."""
     _require_coherent(p1, "pulse 1")
-    return _single_port_averages(p1.at(t), p2.at(t), include_xpm=False)
+    return _single_port_averages(*_spm(t, p1, p2))
 
 
 def averages_two_sq(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:
     """Two independently Kerr-propagated pulses; gamma_x is ignored."""
-    return _single_port_averages(p1.at(t), p2.at(t), include_xpm=False)
+    return _single_port_averages(*_spm(t, p1, p2))
 
 
 def averages_xpm(p1: PulseSpec, p2: PulseSpec, t: float) -> StokesSummary:
     """Co-propagating pulses with SPM and mutual XPM."""
-    return _single_port_averages(p1.at(t), p2.at(t), include_xpm=True)
+    return _single_port_averages(p1.at(t), p2.at(t))
 
 
 def averages_bs(p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float) -> StokesSummary:
@@ -132,11 +131,12 @@ def averages_bs(p1: PulseSpec, p2: PulseSpec, p3: PulseSpec, bs, t: float) -> St
 
 def _bs_averages(a: LocalPulse, b: LocalPulse, c: LocalPulse, bs) -> StokesSummary:
     """The body of :func:`averages_bs` for records ``a``, ``b`` and ``c`` at
-    the analysis time; the caller has checked r + t = 1 and a coherent probe."""
+    the analysis time; the caller has checked r + t = 1 and a coherent probe.
+    The phases are the SPM ones, phi + phi_lin: the model has no cross coupling."""
     ref, trans = bs.r, bs.t
     n1, n2, n3 = a.nbar, b.nbar, c.nbar
     mu1, mu2 = a.mu, b.mu
-    phase1, phase2 = a.total(), b.total()
+    phase1, phase2 = a.phi + a.phi_lin, b.phi + b.phi_lin
     probe_phase = c.phi_lin
 
     cross12 = (

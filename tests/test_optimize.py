@@ -233,7 +233,7 @@ def test_bs_s2_at_full_reflection_is_the_coh_sq_optimum_bit_for_bit(shape):
                 assert bs.delta_phi_opt == coh.delta_phi_opt
 
 
-UNIT_PAIR = single_port_family(COHERENT_UNIT.at(0.0), KERR_UNIT_PHI.at(0.0), StokesIndex.S2, False)
+UNIT_PAIR = single_port_family(COHERENT_UNIT.at(0.0), KERR_UNIT_PHI.at(0.0), StokesIndex.S2)
 
 
 def unit_pair_coefficients(dphi):

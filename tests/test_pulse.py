@@ -9,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kerrstokes.errors import ApproximationWarning
-from kerrstokes.pulse import GAMMA_WEAK_LIMIT, Envelope, EnvelopeShape, LocalPulse, PulseSpec
+from kerrstokes.pulse import (
+    GAMMA_WEAK_LIMIT,
+    Envelope,
+    EnvelopeShape,
+    LocalPulse,
+    PulseSpec,
+    _spm,
+)
 
 PHOTON_NUMBERS = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 COUPLINGS = st.floats(min_value=0.0, max_value=0.1, allow_nan=False)
@@ -31,6 +38,16 @@ def test_sech_envelope_values():
     env = Envelope(EnvelopeShape.SECH, tau_p=1.5)
     assert env.amplitude(0.0) == 1.0
     assert env.amplitude(1.5) == pytest.approx(1.0 / math.cosh(1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("t", [800.0, np.array([-800.0, 0.0, 800.0])], ids=["float", "array"])
+def test_sech_far_outside_its_envelope_is_zero_without_a_warning(t):
+    # cosh(800) overflows to inf, so r = 1 / cosh = 0 there, which is right
+    pulse = PulseSpec(5.0, Envelope(EnvelopeShape.SECH, 1.0), 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nbar = pulse.at(t).nbar
+    np.testing.assert_array_equal(nbar, np.where(np.abs(t) > 1.0, 0.0, 5.0))
 
 
 def test_shaped_envelope_requires_duration():
@@ -80,10 +97,8 @@ def test_nonlinear_quantities_track_local_intensity(shape):
             "mu": (local.mu, gamma * gamma * nbar / 2.0),
             "phix": (local.phix, phix),
             "mux": (local.mux, gamma_x * gamma_x * nbar / 2.0),
-            "kerr": (local.kerr(), phi),
-            "kerr xpm": (local.kerr(include_xpm=True), phi - phix),
-            "total": (local.total(), phi + phi_lin),
-            "total xpm": (local.total(include_xpm=True), (phi - phix) + phi_lin),
+            "kerr": (local.kerr(), phi - phix),
+            "total": (local.total(), (phi - phix) + phi_lin),
         }
         for name, (got, want) in formulas.items():
             assert np.shape(got) == np.shape(t), (name, t)
@@ -92,16 +107,17 @@ def test_nonlinear_quantities_track_local_intensity(shape):
 
 
 def test_total_phase_with_and_without_cross_terms():
-    local = PulseSpec(n0=10.0, gamma=0.05, gamma_x=0.02, phi_lin=0.3).at(0.0)
-    assert local.total() == pytest.approx(2 * 0.05 * 10 + 0.3, rel=1e-14)
-    with_xpm = local.total(include_xpm=True)
+    pulse = PulseSpec(n0=10.0, gamma=0.05, gamma_x=0.02, phi_lin=0.3)
+    (without_xpm,) = _spm(0.0, pulse)
+    assert without_xpm.total() == pytest.approx(2 * 0.05 * 10 + 0.3, rel=1e-14)
+    with_xpm = pulse.at(0.0).total()
     assert with_xpm == pytest.approx((2 * 0.05 * 10 - 2 * 0.02 * 10) + 0.3, rel=1e-14)
 
 
 def test_total_phase_collapses_bitwise_without_cross_coupling():
     # The xpm -> spm reduction chain depends on this being exact, not approximate.
     local = PulseSpec(n0=123.4, gamma=0.0371, gamma_x=0.0, phi_lin=1.1).at(0.7)
-    assert local.total(include_xpm=True) == local.total()
+    assert local.total() == local.phi + local.phi_lin
 
 
 def test_weak_coupling_warning_thresholds():

@@ -201,7 +201,7 @@ def test_kernel_families_match_scalar_formulas():
         return _single_port(theta, a.nbar, b.nbar, a.phi, b.phi, a.phix, b.phix)
 
     cases = [
-        (single_port_family(a, b, index, True), lambda x, i=index: single_port(i, x))
+        (single_port_family(a, b, index), lambda x, i=index: single_port(i, x))
         for index in StokesIndex
     ] + [
         (bs_s01_family(a, b, bs, which),

@@ -541,3 +541,94 @@ def test_overflowing_stokes_averages_raise_value_error():
     huge = PulseSpec(n0=1e308)
     with pytest.raises(ValueError, match="poincare_radius is not finite"):
         run(config(pulses=(COH, huge)))
+
+
+_ALL = tuple(StokesIndex)
+_S01 = (StokesIndex.S0, StokesIndex.S1)
+_S23 = (StokesIndex.S2, StokesIndex.S3)
+
+# The public functions of the kinds without cross coupling: name -> (the Stokes
+# components it takes, None for the averages; a call on pulses by role, a
+# splitter, t, Omega0 and the component).
+_WITHOUT_XPM = {
+    "kernel_coh_sq": (_ALL, lambda p, bs, t, w, i: kernel_coh_sq(p["coh"], p["kerr2"], t, i)),
+    "kernel_two_sq": (_ALL, lambda p, bs, t, w, i: kernel_two_sq(p["kerr1"], p["kerr2"], t, i)),
+    "kernel_bs_s01": (
+        _S01, lambda p, bs, t, w, i: kernel_bs_s01(p["kerr1"], p["kerr2"], bs, t, i)
+    ),
+    "kernel_bs_s2": (
+        _S23, lambda p, bs, t, w, i: kernel_bs_s2(p["kerr1"], p["kerr2"], p["probe"], bs, t, i)
+    ),
+    "optimal_phase_coh_sq": (
+        _ALL, lambda p, bs, t, w, i: optimal_phase_coh_sq(p["coh"], p["kerr2"], t, w, i)
+    ),
+    "optimal_phase_two_sq": (
+        _ALL, lambda p, bs, t, w, i: optimal_phase_two_sq(p["kerr1"], p["kerr2"], t, w, i)
+    ),
+    "optimal_phase_bs_s01": (
+        _S01,
+        lambda p, bs, t, w, i: optimal_phase_bs_s01(p["balanced1"], p["balanced2"], bs, t, w, i),
+    ),
+    "optimal_phase_bs_s2": (
+        _S23,
+        lambda p, bs, t, w, i: optimal_phase_bs_s2(
+            p["locked1"], p["locked2"], p["probe"], bs, t, w, i
+        ),
+    ),
+    "averages_coh_sq": ((None,), lambda p, bs, t, w, i: averages_coh_sq(p["coh"], p["kerr2"], t)),
+    "averages_two_sq": (
+        (None,), lambda p, bs, t, w, i: averages_two_sq(p["kerr1"], p["kerr2"], t)
+    ),
+    "averages_bs": (
+        (None,), lambda p, bs, t, w, i: averages_bs(p["kerr1"], p["kerr2"], p["probe"], bs, t)
+    ),
+}
+
+
+def _roles(rng):
+    """Seeded pulses by role, all with gamma_x = 0: the beam-splitter optimizers
+    get pulses on their contracts (equal couplings for S0/S1; equal SPM phases
+    and inputs in quadrature for S2/S3)."""
+
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    def kerr(gamma):
+        shape = list(EnvelopeShape)[int(rng.integers(3))]
+        envelope = Envelope() if shape is EnvelopeShape.CONSTANT else Envelope(shape, u(0.5, 2.0))
+        return PulseSpec(u(1.0, 300.0), envelope, gamma, phi_lin=u(0.0, 2.0 * math.pi))
+
+    gamma = u(0.001, 0.02)
+    locked = kerr(gamma)
+    return {
+        "coh": kerr(0.0),
+        "kerr1": kerr(u(0.001, 0.02)),
+        "kerr2": kerr(u(0.001, 0.02)),
+        "probe": kerr(0.0),
+        "balanced1": kerr(gamma),
+        "balanced2": kerr(gamma),
+        "locked1": locked.with_phase(locked.phi_lin + 0.5 * math.pi),
+        "locked2": locked,
+    }
+
+
+@pytest.mark.parametrize(
+    ("name", "index"),
+    [(name, index) for name, (indices, _) in _WITHOUT_XPM.items() for index in indices],
+)
+def test_gamma_x_is_ignored_outside_xpm(name, index):
+    """Cross coupling only participates in xpm: validation rejects gamma_x
+    elsewhere, and each public function of another kind, called directly,
+    ignores it.  With gamma_x drawn on every pulse it gives the bits of the
+    same call with gamma_x = 0."""
+    _, call = _WITHOUT_XPM[name]
+    rng = np.random.default_rng(25)
+    for _ in range(6):
+        plain = _roles(rng)
+        crossed = {
+            role: dataclasses.replace(p, gamma_x=float(rng.uniform(0.001, 0.03)))
+            for role, p in plain.items()
+        }
+        r = float(rng.uniform(0.2, 0.8))
+        args = BeamSplitter(r, 1.0 - r), float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 2.0))
+        assert repr(call(crossed, *args, index)) == repr(call(plain, *args, index)), args

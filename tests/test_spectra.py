@@ -9,7 +9,7 @@ import pytest
 
 from kerrstokes.errors import ApproximationWarning
 from kerrstokes.kernel import lorentzian
-from kerrstokes.pulse import Envelope, EnvelopeShape, PulseSpec
+from kerrstokes.pulse import Envelope, EnvelopeShape, PulseSpec, _spm
 from kerrstokes.scenario import BeamSplitter
 from kerrstokes.spectra import (
     CorrelationKernel,
@@ -175,8 +175,8 @@ def _seeded_families(rng, draws):
             r = u(0.0, 1.0)
             bs = BeamSplitter(r, 1.0 - r)
             for index in StokesIndex:
-                for xpm in (False, True):
-                    family = single_port_family(p1.at(t), p2.at(t), index, xpm)
+                for xpm, records in ((False, _spm(t, p1, p2)), (True, (p1.at(t), p2.at(t)))):
+                    family = single_port_family(*records, index)
                     yield f"single-port {index.value} xpm={xpm}", family
             for which in (StokesIndex.S0, StokesIndex.S1):
                 yield f"bs_s01 {which.value}", bs_s01_family(p1.at(t), p2.at(t), bs, which)
