@@ -11,7 +11,12 @@ Four subcommands::
 Exit codes: 0 success, 1 config or command-line parse error, 2 validation /
 contract error, 3 I/O error, 4 verification failure.  Errors are emitted as
 one JSON object on stderr (``{"error": {"code": ..., "issues": [...]}}``),
-a command-line usage error too; regular results go to stdout as JSON.
+a command-line usage error too; regular results go to stdout as JSON.  Each
+step of a command names the field it reports on, and one table maps what it
+raises to a code, first match first: a ConfigValidationError is exit 2 with
+its own issues' fields, a ConfigParseError exit 1, any other ValueError (a
+ScenarioContractError, or a path the OS rejects as a value, such as one with
+an embedded NUL) exit 2, and an OSError exit 3.
 
 Spectrum files are written chunk by chunk, each float converted by a C-level
 ``map``: a CSV field is ``"%.17g" % x`` under the header
@@ -24,6 +29,7 @@ the bytes of every figure CSV and of ``run`` on each example config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -33,7 +39,7 @@ from pathlib import Path
 
 from . import __version__
 from .config_io import dump_reference_path, load_config
-from .errors import ConfigParseError, ConfigValidationError, ScenarioContractError
+from .errors import ConfigParseError, ConfigValidationError
 from .figures import figure_preset
 from .scenario import OmegaGrid, run
 from .verify import run_checks
@@ -56,6 +62,28 @@ def _emit_error(code: str, exit_code: int, issues) -> int:
     }
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return exit_code
+
+
+class _Exit(Exception):
+    """A failed step: the arguments of :func:`_emit_error`, which only
+    :func:`main` calls."""
+
+
+@contextlib.contextmanager
+def _reported_on(field: str):
+    """Turn what the step in the block raises into an :class:`_Exit` on
+    ``field``, by the module docstring's table; the three error classes are
+    ValueErrors, so their clauses come first."""
+    try:
+        yield
+    except ConfigValidationError as exc:
+        raise _Exit("validation", EXIT_VALIDATION, [(i.field, i.message) for i in exc.issues])
+    except ConfigParseError as exc:
+        raise _Exit("parse", EXIT_PARSE, [(field, str(exc))])
+    except ValueError as exc:
+        raise _Exit("validation", EXIT_VALIDATION, [(field, str(exc))])
+    except OSError as exc:
+        raise _Exit("io", EXIT_IO, [(field, str(exc))])
 
 
 def _fields(record, *finite):
@@ -153,47 +181,24 @@ def _parse_grid_flag(text: str) -> OmegaGrid:
 def cmd_run(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # warnings are reported structurally below
-        try:
+        with _reported_on("config"):
             config = load_config(args.config)
-        except OSError as exc:
-            return _emit_error("io", EXIT_IO, [("config", str(exc))])
-        except ConfigParseError as exc:
-            return _emit_error("parse", EXIT_PARSE, [("config", str(exc))])
-        except ConfigValidationError as exc:
-            return _emit_error(
-                "validation", EXIT_VALIDATION, [(i.field, i.message) for i in exc.issues]
-            )
         if args.grid is not None:
-            try:
+            with _reported_on("grid"):
                 config = dataclasses.replace(config, omega_grid=_parse_grid_flag(args.grid))
-            except ConfigParseError as exc:
-                return _emit_error("parse", EXIT_PARSE, [("grid", str(exc))])
-            except ValueError as exc:
-                return _emit_error("validation", EXIT_VALIDATION, [("grid", str(exc))])
         if args.optimize_at is not None:
-            try:
+            with _reported_on("scenario.omega0"):
                 config = dataclasses.replace(config, omega0=args.optimize_at)
-            except ValueError as exc:
-                return _emit_error("validation", EXIT_VALIDATION, [("scenario.omega0", str(exc))])
-
-        try:
+        with _reported_on("scenario"):
             result = run(config)
-        except ConfigValidationError as exc:
-            return _emit_error(
-                "validation", EXIT_VALIDATION, [(i.field, i.message) for i in exc.issues]
-            )
-        except (ScenarioContractError, ValueError) as exc:
-            return _emit_error("validation", EXIT_VALIDATION, [("scenario", str(exc))])
 
     out = Path(args.out) if args.out else Path(f"spectrum.{args.format}")
     series = result.spectrum
-    try:
+    with _reported_on("out"):
         if args.format == "csv":
             _write_spectrum_csv(out, series)
         else:
             _write_spectrum_json(out, _run_payload(result), series)
-    except OSError as exc:
-        return _emit_error("io", EXIT_IO, [("out", str(exc))])
 
     bundle = _run_payload(
         result,
@@ -210,19 +215,15 @@ def cmd_figure(args) -> int:
     files = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the presets knowingly leave the weak-coupling regime
-        try:
+        with _reported_on("figure-id"):
             preset = figure_preset(args.figure_id)
-        except ValueError as exc:
-            return _emit_error("validation", EXIT_VALIDATION, [("figure-id", str(exc))])
-        try:
+        with _reported_on("out"):
             out_dir.mkdir(parents=True, exist_ok=True)
             for label, config in zip(preset.labels, preset.configs):
                 result = run(config)
                 path = out_dir / f"fig{preset.figure_id}_{label}.csv"
                 _write_spectrum_csv(path, result.spectrum)
                 files.append(path.name)
-        except OSError as exc:
-            return _emit_error("io", EXIT_IO, [("out", str(exc))])
     print(
         json.dumps(
             {
@@ -239,10 +240,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
+    with _reported_on("inject-tau-mismatch"):
         report = run_checks(tau_r_mismatch=args.inject_tau_mismatch)
-    except ValueError as exc:
-        return _emit_error("validation", EXIT_VALIDATION, [("inject-tau-mismatch", str(exc))])
     payload = {
         "schema_version": SCHEMA_VERSION,
         "passed": report.passed,
@@ -256,11 +255,8 @@ def cmd_verify(args) -> int:
     }
     text = json.dumps(payload, sort_keys=True, indent=1)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="ascii", newline="\n") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            return _emit_error("io", EXIT_IO, [("out", str(exc))])
+        with _reported_on("out"), open(args.out, "w", encoding="ascii", newline="\n") as handle:
+            handle.write(text + "\n")
     else:
         print(text)
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -268,7 +264,8 @@ def cmd_verify(args) -> int:
 
 def _argv_error(message: str):
     """``ArgumentParser.error`` of every parser: a usage error leaves parsing
-    as a ConfigParseError, which :func:`main` reports as a JSON parse error."""
+    as a ConfigParseError, which :func:`main` reports as a JSON parse error
+    on ``argv``."""
     raise ConfigParseError(message)
 
 
@@ -321,10 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except ConfigParseError as exc:
-        return _emit_error("parse", EXIT_PARSE, [("argv", str(exc))])
-    return args.func(args)
+        with _reported_on("argv"):
+            args = build_parser().parse_args(argv)
+        return args.func(args)
+    except _Exit as exc:
+        return _emit_error(*exc.args)
 
 
 def entry() -> None:

@@ -54,6 +54,13 @@ class EnvelopeShape(enum.Enum):
     SECH = "sech"
 
 
+def _unsigned_zero(value):
+    """``value`` with a negative zero stored as +0.0, so that the sign of an
+    exact-zero output does not depend on how an input zero was written.  Only
+    -0.0 is replaced: an int 0 stays an int, and None stays None."""
+    return 0.0 if value == 0 and math.copysign(1.0, value) < 0.0 else value
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Normalized amplitude envelope r(t) with r(0) = 1.
@@ -101,6 +108,8 @@ class PulseSpec:
     gamma_x : per-photon XPM coupling from a partner pulse, >= 0.  Only
         meaningful in the cross-Kerr scenario.
     phi_lin : linear (Kerr-independent) phase in radians.
+
+    A -0.0 in any of the four numbers is stored as +0.0.
     """
 
     n0: float
@@ -114,6 +123,7 @@ class PulseSpec:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, _unsigned_zero(value))
         if self.n0 < 0.0:
             raise ValueError(f"n0 must be >= 0, got {self.n0}")
         if self.gamma < 0.0:
@@ -151,7 +161,7 @@ class PulseSpec:
         if not (isinstance(phi_lin, (int, float)) and math.isfinite(phi_lin)):
             raise ValueError(f"phi_lin must be a finite number, got {phi_lin!r}")
         clone = copy.copy(self)
-        object.__setattr__(clone, "phi_lin", phi_lin)
+        object.__setattr__(clone, "phi_lin", _unsigned_zero(phi_lin))
         return clone
 
 

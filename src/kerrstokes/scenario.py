@@ -42,7 +42,7 @@ from . import optimize, spectra, stokes
 from .errors import ConfigValidationError, ValidationIssue
 from .kernel import RelaxationKernel
 from .optimize import PhaseOptimum, _bs_contract_issues
-from .pulse import GAMMA_WEAK_LIMIT, LocalPulse, PulseSpec
+from .pulse import GAMMA_WEAK_LIMIT, LocalPulse, PulseSpec, _unsigned_zero
 from .spectra import SpectrumSeries, StokesIndex, spectrum
 from .stokes import BS_UNITARITY_TOL, StokesSummary
 
@@ -148,7 +148,8 @@ class ScenarioConfig:
     ``omega_grid`` and ``omega0`` are reduced frequencies
     Omega = omega * tau_r, so :func:`run` never reads ``medium``: its
     ``tau_r`` changes no run or figure output.  The field records the
-    medium the reduced frequencies refer to.
+    medium the reduced frequencies refer to.  An ``omega0`` of -0.0 is
+    stored as +0.0, as :class:`PulseSpec` stores its numbers.
     """
 
     kind: ScenarioKind
@@ -184,6 +185,7 @@ class ScenarioConfig:
                 isinstance(value, (int, float)) and math.isfinite(value)
             ):
                 raise ValueError(f"{name} must be a finite number or None, got {value!r}")
+        object.__setattr__(self, "omega0", _unsigned_zero(self.omega0))
 
 
 @dataclass(frozen=True)

@@ -296,6 +296,30 @@ def test_help_flag_still_prints_usage_and_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: kerrstokes run")
 
 
+COH_SQ_INI = Path(__file__).parents[1] / "configs" / "coh_sq.ini"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["run", "--config", "nul\x00.ini"], "config"),
+        (["run", "--config", COH_SQ_INI, "--out", "nul\x00.csv"], "out"),
+        (["figure", "--figure-id", "1", "--out", "nul\x00"], "out"),
+        (["verify", "--out", "nul\x00.json"], "out"),
+    ],
+    ids=["run-config", "run-out", "figure-out", "verify-out"],
+)
+def test_path_with_embedded_nul_is_a_validation_error_on_its_field(capsys, argv, field):
+    # the OS rejects such a path as a value (ValueError), not as a failed I/O;
+    # only an in-process caller of main() can pass one, a shell cannot
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == EXIT_VALIDATION and stdout == ""
+    assert err.count("\n") == 1
+    error = stderr_error(err)
+    assert error["code"] == "validation"
+    assert [i["field"] for i in error["issues"]] == [field]
+
+
 def test_overflowing_kerr_phase_maps_to_validation_exit(tmp_path, capsys):
     # phi2 = 2 gamma n0 = 1e298 squares past the double range
     path = tmp_path / "huge.ini"

@@ -145,10 +145,11 @@ def test_run_gives_a_finite_result_or_a_json_error(case):
 
 EXAMPLES = [str(p) for p in sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))]
 # Relative paths resolve in the case's temporary working directory, where
-# "bad.ini" holds a config that does not parse and "missing.ini" is absent.
+# "bad.ini" holds a config that does not parse and "missing.ini" is absent; a
+# path with an embedded NUL is one the OS rejects as a value.
 FLAG_VALUES = {
-    "--config": EXAMPLES + ["missing.ini", "bad.ini"],
-    "--out": ["out.csv", "out.json", ".", "no/such/dir/out.csv"],
+    "--config": EXAMPLES + ["missing.ini", "bad.ini", "nul\x00.ini"],
+    "--out": ["out.csv", "out.json", ".", "no/such/dir/out.csv", "nul\x00.csv"],
     "--format": ["csv", "json", "xml"],
     "--grid": ["0:5:16", "0:5", "a:b:c", "0:5:2e6", "5:0:16", "0:5:1", "0:5:2000000"],
     "--optimize-at": ["0.5", "0", "-1", "abc", "nan", "1e308"],

@@ -1,13 +1,14 @@
 """Scenario configuration, validation and the end-to-end run pipeline."""
 
 import dataclasses
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from kerrstokes import optimize, scenario, spectra
+from kerrstokes import cli, optimize, scenario, spectra
 from kerrstokes.errors import ConfigValidationError
 from kerrstokes.kernel import RelaxationKernel
 from kerrstokes.optimize import (
@@ -632,3 +633,34 @@ def test_gamma_x_is_ignored_outside_xpm(name, index):
         r = float(rng.uniform(0.2, 0.8))
         args = BeamSplitter(r, 1.0 - r), float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 2.0))
         assert repr(call(crossed, *args, index)) == repr(call(plain, *args, index)), args
+
+
+def _zero_config(kind, zero):
+    """A config of ``kind`` with ``zero`` in omega0 and in every pulse number that may be 0."""
+
+    def pulse(n0, gamma=zero, gamma_x=zero):
+        return PulseSpec(n0, gamma=gamma, gamma_x=gamma_x, phi_lin=zero)
+
+    if kind is ScenarioKind.BS_INTERF:
+        return bs_config(pulses=(pulse(1.0, 0.02), pulse(1.5, 0.02), pulse(zero)), omega0=zero)
+    pulses = {
+        ScenarioKind.COH_SQ: (pulse(1.0), pulse(100.0, 0.005)),
+        ScenarioKind.TWO_SQ: (pulse(50.0, 0.004), pulse(100.0, 0.005)),
+        ScenarioKind.XPM: (pulse(50.0, 0.004, 0.002), pulse(100.0, 0.005)),
+    }[kind]
+    return config(kind, pulses, omega0=zero)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda kind: kind.value)
+def test_negative_zero_inputs_give_the_outputs_of_positive_zero(kind):
+    """A -0.0 is stored as +0.0, so the sign of an exact-zero output (an echoed
+    omega0, a vanishing Stokes average) does not depend on how a zero was written."""
+    outputs = []
+    for zero in (-0.0, 0.0):
+        result = run(_zero_config(kind, zero))
+        series = result.spectrum
+        columns = (series.omega, series.values, series.normalized)
+        payload = json.dumps(cli._run_payload(result), sort_keys=True)
+        outputs.append((payload, b"".join(c.tobytes() for c in columns)))
+    assert outputs[0] == outputs[1]
+    assert math.copysign(1.0, KERR.with_phase(-0.0).phi_lin) == 1.0
