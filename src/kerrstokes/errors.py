@@ -1,8 +1,17 @@
-"""Shared exception types and structured validation records."""
+"""Shared exception types, structured validation records and the one
+finite-number check of the package."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def _finite_number(value) -> bool:
+    """Whether ``value`` is a finite int or float.  A bool is not a number,
+    although Python makes it an int: ``True`` is refused wherever this is
+    checked."""
+    return isinstance(value, (int, float)) and type(value) is not bool and math.isfinite(value)
 
 
 class ApproximationWarning(UserWarning):

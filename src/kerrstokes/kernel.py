@@ -19,10 +19,11 @@ All functions accept scalars or numpy arrays and preserve the input kind.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import _finite_number
 
 __all__ = [
     "RelaxationKernel",
@@ -59,7 +60,7 @@ class RelaxationKernel:
     tau_r: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.tau_r, (int, float)) and math.isfinite(self.tau_r)):
+        if not _finite_number(self.tau_r):
             raise ValueError(f"tau_r must be a finite number, got {self.tau_r!r}")
         if self.tau_r <= 0.0:
             raise ValueError(f"tau_r must be positive, got {self.tau_r}")

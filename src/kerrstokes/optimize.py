@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScenarioContractError
+from .errors import ScenarioContractError, _finite_number
 from .kernel import lorentzian
 from .pulse import LocalPulse, PulseSpec, _spm
 from .spectra import (
@@ -167,7 +167,7 @@ BS_PROBE_OFFSET = Offset(free=2, anchor=1, sign=-1.0)
 
 
 def _check_omega0(omega0: float) -> None:
-    if not (isinstance(omega0, (int, float)) and math.isfinite(omega0) and omega0 >= 0.0):
+    if not (_finite_number(omega0) and omega0 >= 0.0):
         raise ValueError(f"omega0 must be a finite number >= 0, got {omega0!r}")
 
 

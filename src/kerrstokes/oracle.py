@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ScenarioContractError
+from .errors import ScenarioContractError, _finite_number
 from .kernel import RelaxationKernel
 from .pulse import PulseSpec
 from .spectra import CorrelationKernel
@@ -79,7 +79,7 @@ def wk_numeric(
     """
     if not isinstance(points, int) or points < 4001 or points % 4 != 1:
         raise ValueError(f"points must be an integer >= 4001 with points % 4 == 1, got {points!r}")
-    scalar = isinstance(omega, (int, float))
+    scalar = _finite_number(omega)
     values = np.asarray(omega)
     if not (
         (scalar or (values.ndim == 1 and values.dtype.kind in "fiu"))

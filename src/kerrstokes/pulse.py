@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ApproximationWarning
+from .errors import ApproximationWarning, _finite_number
 
 __all__ = ["EnvelopeShape", "Envelope", "LocalPulse", "PulseSpec", "GAMMA_WEAK_LIMIT"]
 
@@ -77,7 +77,7 @@ class Envelope:
             raise ValueError(f"shape must be an EnvelopeShape, got {self.shape!r}")
         if self.shape is not EnvelopeShape.CONSTANT:
             tau_p = self.tau_p
-            if not (isinstance(tau_p, (int, float)) and math.isfinite(tau_p) and tau_p > 0.0):
+            if not (_finite_number(tau_p) and tau_p > 0.0):
                 raise ValueError(
                     f"{self.shape.value} envelope needs tau_p > 0, got {self.tau_p!r}"
                 )
@@ -109,7 +109,8 @@ class PulseSpec:
         meaningful in the cross-Kerr scenario.
     phi_lin : linear (Kerr-independent) phase in radians.
 
-    A -0.0 in any of the four numbers is stored as +0.0.
+    Each of the four numbers must be a finite int or float; a bool is not a
+    number and is refused.  A -0.0 in any of them is stored as +0.0.
     """
 
     n0: float
@@ -121,7 +122,7 @@ class PulseSpec:
     def __post_init__(self):
         for name in ("n0", "gamma", "gamma_x", "phi_lin"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not _finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, _unsigned_zero(value))
         if self.n0 < 0.0:
@@ -158,7 +159,7 @@ class PulseSpec:
         Only the new phase is checked: the couplings are unchanged, so the
         weak-coupling warning of the original is not issued again.
         """
-        if not (isinstance(phi_lin, (int, float)) and math.isfinite(phi_lin)):
+        if not _finite_number(phi_lin):
             raise ValueError(f"phi_lin must be a finite number, got {phi_lin!r}")
         clone = copy.copy(self)
         object.__setattr__(clone, "phi_lin", _unsigned_zero(phi_lin))

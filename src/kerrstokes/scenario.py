@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optimize, spectra, stokes
-from .errors import ConfigValidationError, ValidationIssue
+from .errors import ConfigValidationError, ValidationIssue, _finite_number
 from .kernel import RelaxationKernel
 from .optimize import PhaseOptimum, _bs_contract_issues
 from .pulse import GAMMA_WEAK_LIMIT, LocalPulse, PulseSpec, _unsigned_zero
@@ -78,7 +78,8 @@ class BeamSplitter:
     Each coefficient must lie in [0, 1]; the lossless condition r + t = 1
     is a cross-field constraint checked by :func:`validate` and by the
     operations that consume the splitter, so that an inconsistent pair can
-    still be constructed and reported.
+    still be constructed and reported.  Each coefficient must be a finite
+    int or float; a bool is not a number and is refused.
     """
 
     r: float
@@ -87,7 +88,7 @@ class BeamSplitter:
     def __post_init__(self):
         for name in ("r", "t"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not _finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
@@ -117,7 +118,7 @@ class OmegaGrid:
     def __post_init__(self):
         for name in ("start", "stop"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not _finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.start < 0.0:
             raise ValueError(f"start must be >= 0, got {self.start}")
@@ -148,7 +149,9 @@ class ScenarioConfig:
     ``omega_grid`` and ``omega0`` are reduced frequencies
     Omega = omega * tau_r, so :func:`run` never reads ``medium``: its
     ``tau_r`` changes no run or figure output.  The field records the
-    medium the reduced frequencies refer to.  An ``omega0`` of -0.0 is
+    medium the reduced frequencies refer to.  ``analysis_time``, and
+    ``omega0`` and ``normalization`` when set, must be finite ints or
+    floats; a bool is not a number and is refused.  An ``omega0`` of -0.0 is
     stored as +0.0, as :class:`PulseSpec` stores its numbers.
     """
 
@@ -171,7 +174,7 @@ class ScenarioConfig:
                 raise ValueError(f"pulses[{i}] must be a PulseSpec, got {pulse!r}")
         if not isinstance(self.medium, RelaxationKernel):
             raise ValueError(f"medium must be a RelaxationKernel, got {self.medium!r}")
-        if not (isinstance(self.analysis_time, (int, float)) and math.isfinite(self.analysis_time)):
+        if not _finite_number(self.analysis_time):
             raise ValueError(f"analysis_time must be finite, got {self.analysis_time!r}")
         if not isinstance(self.stokes_index, StokesIndex):
             raise ValueError(f"stokes_index must be a StokesIndex, got {self.stokes_index!r}")
@@ -181,9 +184,7 @@ class ScenarioConfig:
             raise ValueError(f"beamsplitter must be a BeamSplitter, got {self.beamsplitter!r}")
         for name in ("omega0", "normalization"):
             value = getattr(self, name)
-            if value is not None and not (
-                isinstance(value, (int, float)) and math.isfinite(value)
-            ):
+            if value is not None and not _finite_number(value):
                 raise ValueError(f"{name} must be a finite number or None, got {value!r}")
         object.__setattr__(self, "omega0", _unsigned_zero(self.omega0))
 

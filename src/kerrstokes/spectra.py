@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _finite_number
 from .kernel import lorentzian
 from .pulse import LocalPulse, PulseSpec, _spm
 from .stokes import _require_coherent, _require_unit_split
@@ -90,7 +91,7 @@ class CorrelationKernel:
     def __post_init__(self):
         for name in ("a_h", "b_g"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not _finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -341,11 +342,7 @@ def spectrum(
         raise ValueError(f"omega_grid must be non-negative, starts at {grid[0]}")
     if not (grid[1:] > grid[:-1]).all():
         raise ValueError("omega_grid must be strictly ascending")
-    if not (
-        isinstance(reference_intensity, (int, float))
-        and math.isfinite(reference_intensity)
-        and reference_intensity > 0.0
-    ):
+    if not (_finite_number(reference_intensity) and reference_intensity > 0.0):
         raise ValueError(
             f"reference_intensity must be a positive finite number, got {reference_intensity!r}"
         )

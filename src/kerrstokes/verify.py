@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import _finite_number
 from .kernel import RelaxationKernel, fourier_g_closed, fourier_h_closed, lorentzian
 from .optimize import (
     AGREEMENT_TOL,
@@ -588,7 +589,7 @@ def run_checks(tau_r_mismatch: float = 1.0) -> VerifyReport:
 
     Raises ValueError when ``tau_r_mismatch`` is not a finite number > 0.
     """
-    if not (math.isfinite(tau_r_mismatch) and tau_r_mismatch > 0.0):
+    if not (_finite_number(tau_r_mismatch) and tau_r_mismatch > 0.0):
         raise ValueError(f"tau_r_mismatch must be a finite number > 0, got {tau_r_mismatch!r}")
     col = _Collector()
     start = col.mark

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kerrstokes import cli, optimize, scenario, spectra
+from kerrstokes import cli, optimize, oracle, scenario, spectra, verify
 from kerrstokes.errors import ConfigValidationError
 from kerrstokes.kernel import RelaxationKernel
 from kerrstokes.optimize import (
@@ -664,3 +664,45 @@ def test_negative_zero_inputs_give_the_outputs_of_positive_zero(kind):
         outputs.append((payload, b"".join(c.tobytes() for c in columns)))
     assert outputs[0] == outputs[1]
     assert math.copysign(1.0, KERR.with_phase(-0.0).phi_lin) == 1.0
+
+
+# Every site that checks a finite number, each handed a bool: Python makes
+# True an int, and each of these accepted it as 1 before the check refused it.
+BOOL_AS_NUMBER = {
+    "RelaxationKernel.tau_r": lambda: RelaxationKernel(True),
+    "Envelope.tau_p": lambda: Envelope(EnvelopeShape.GAUSSIAN, True),
+    "PulseSpec.n0": lambda: PulseSpec(True),
+    "PulseSpec.gamma": lambda: PulseSpec(1.0, gamma=True),
+    "PulseSpec.gamma_x": lambda: PulseSpec(1.0, gamma_x=True),
+    "PulseSpec.phi_lin": lambda: PulseSpec(1.0, phi_lin=True),
+    "PulseSpec.with_phase": lambda: KERR.with_phase(True),
+    "BeamSplitter.r": lambda: BeamSplitter(True, 0.5),
+    "OmegaGrid.start": lambda: OmegaGrid(True, 5.0),
+    "OmegaGrid.stop": lambda: OmegaGrid(0.0, True),
+    "ScenarioConfig.analysis_time": lambda: config(analysis_time=True),
+    "ScenarioConfig.omega0": lambda: config(omega0=True),
+    "ScenarioConfig.normalization": lambda: config(normalization=True),
+    "CorrelationKernel.a_h": lambda: spectra.CorrelationKernel(True, 0.0),
+    "spectrum.reference_intensity": lambda: spectrum(
+        spectra.CorrelationKernel(0.0, 0.0), [0.0, 1.0], reference_intensity=True
+    ),
+    "optimize.omega0": lambda: optimal_phase_coh_sq(COH, KERR, 0.0, True),
+    "scan_phase.omega0": lambda: optimize.scan_phase(lambda phase: (0.0, 0.0), True),
+    "wk_numeric.omega": lambda: oracle.wk_numeric(
+        spectra.CorrelationKernel(0.0, 0.0), MEDIUM, True
+    ),
+    "run_checks.tau_r_mismatch": lambda: verify.run_checks(True),
+}
+
+
+@pytest.mark.parametrize("build", BOOL_AS_NUMBER.values(), ids=BOOL_AS_NUMBER.keys())
+def test_a_bool_is_not_a_number(build):
+    # each site raises its own message, which echoes the value
+    with pytest.raises(ValueError, match=r", got True$"):
+        build()
+
+
+def test_run_checks_refuses_a_string_with_a_value_error():
+    # math.isfinite("1") raised TypeError, although run_checks promises ValueError
+    with pytest.raises(ValueError, match="tau_r_mismatch must be a finite number > 0"):
+        verify.run_checks("1")
