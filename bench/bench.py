@@ -9,8 +9,10 @@ rows are measured, each as the minimum of ``REPEATS`` runs:
 
 * end to end, one fresh interpreter per run: ``python -c 'import numpy'``
   (the floor every run pays), ``import kerrstokes``, ``kerrstokes run`` on
-  each config in ``configs/``, ``kerrstokes figure --figure-id 2`` and
-  ``kerrstokes verify``; the wall time and the peak RSS of the child;
+  each config in ``configs/``, ``kerrstokes run`` on the coh_sq config
+  exporting 120000 points to CSV and 80000 points to JSON (the grid sizes
+  of kbench's spectrum-export workload), ``kerrstokes figure --figure-id 2``
+  and ``kerrstokes verify``; the wall time and the peak RSS of the child;
 * per layer, in one fresh interpreter per tree and run: ``load_config``,
   ``run()`` (and ``run()`` of the two_sq config switched to S3), ``run()``
   over every curve of figures 1-6 and 8-12 (each phase-optimized), ``run()``
@@ -72,6 +74,12 @@ def _cold_commands(tree: Path, work: Path) -> dict[str, list[str]]:
         config = tree / "configs" / f"{name}.ini"
         out = work / f"{name}.csv"
         commands[f"run {name}"] = cli + ["run", "--config", str(config), "--out", str(out)]
+    for fmt, points in (("csv", 120_000), ("json", 80_000)):
+        config = tree / "configs" / "coh_sq.ini"
+        out = work / f"export.{fmt}"
+        commands[f"export {fmt} {points} points"] = cli + [
+            "run", "--config", str(config), "--grid", f"0:5:{points}", "--format", fmt, "--out", str(out),
+        ]
     commands["figure 2"] = cli + ["figure", "--figure-id", "2", "--out", str(work)]
     commands["verify"] = cli + ["verify", "--out", str(work / "verify.json")]
     return commands

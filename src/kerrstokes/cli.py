@@ -18,12 +18,16 @@ its own issues' fields, a ConfigParseError exit 1, any other ValueError (a
 ScenarioContractError, or a path the OS rejects as a value, such as one with
 an embedded NUL) exit 2, and an OSError exit 3.
 
-Spectrum files are written chunk by chunk, each float converted by a C-level
-``map``: a CSV field is ``"%.17g" % x`` under the header
-``omega,s_value,s_star``, and a JSON spectrum item is ``repr(x)``, which is
-what ``json.dump(document, sort_keys=True, indent=1)`` writes for a finite
-float.  Reruns are byte-identical, and ``tests/golden_digests.json`` pins
-the bytes of every figure CSV and of ``run`` on each example config.
+Spectrum files are written chunk by chunk: a CSV field is ``"%.17g" % x``
+under the header ``omega,s_value,s_star``, and a JSON spectrum item is
+``repr(x)``, which is what ``json.dump(document, sort_keys=True, indent=1)``
+writes for a finite float.  The private ``_floattext`` module makes those
+bytes with numpy, a chunk at a time: correctly rounded digits from a
+double-double scaling, and repr's shortest digits from the gap to the
+neighbouring doubles.  It hands every float it cannot decide with margin
+(a rounding tie, a gap edge, |x| outside [1e-280, 1e280]) to CPython's
+own formatter.  Reruns are byte-identical, and ``tests/golden_digests.json``
+pins the bytes of every figure CSV and of ``run`` on each example config.
 """
 
 from __future__ import annotations
@@ -113,26 +117,23 @@ def _run_payload(result, **extra):
 
 
 # Grid points converted to text per write: each chunk is one large write, and
-# only one chunk's text and Python floats are alive at a time.
+# only one chunk's text and numpy temporaries (a few MB) are alive at a time.
 _CHUNK = 1 << 14
-_CSV_ROW = "%.17g,%.17g,%.17g\n"
 # json.dumps(..., indent=1) places a spectrum column's items at depth 3.
-_JSON_ITEM_SEP = ",\n   "
+_JSON_ITEM_SEP = b",\n   "
 # A string no other field of the document can hold: it marks where a column goes.
 _COLUMN_SLOT = "\x00column"
 
 
-def _chunks(*columns):
-    """Aligned slices of ``columns`` as lists of Python floats, _CHUNK points each."""
-    for start in range(0, columns[0].size, _CHUNK):
-        yield [column[start : start + _CHUNK].tolist() for column in columns]
-
-
 def _write_spectrum_csv(path: Path, series) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("omega,s_value,s_star\n")
-        for rows in _chunks(series.omega, series.values, series.normalized):
-            handle.write("".join(map(_CSV_ROW.__mod__, zip(*rows))))
+    from . import _floattext  # here, so that importing the CLI does not load it
+
+    columns = (series.omega, series.values, series.normalized)
+    with open(path, "wb") as handle:
+        handle.write(b"omega,s_value,s_star\n")
+        for start in range(0, series.omega.size, _CHUNK):
+            chunk = [column[start : start + _CHUNK] for column in columns]
+            handle.write(_floattext.rows(chunk, "%.17g", (b",", b",", b"\n")))
 
 
 def _write_spectrum_json(path: Path, document: dict, series) -> None:
@@ -145,22 +146,26 @@ def _write_spectrum_json(path: Path, document: dict, series) -> None:
     items.  That encoder formats a finite float with ``float.__repr__`` too,
     and ``spectrum()`` rejects non-finite values, so the bytes are json's.
     """
+    from . import _floattext
+
     columns = {"omega": series.omega, "s_star": series.normalized, "s_value": series.values}
     skeleton = json.dumps(
         {**document, "spectrum": dict.fromkeys(columns, _COLUMN_SLOT)}, sort_keys=True, indent=1
     )
     head, *tails = skeleton.split(json.dumps(_COLUMN_SLOT))
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(head)
+    with open(path, "wb") as handle:
+        handle.write(head.encode("ascii"))
         for name, tail in zip(sorted(columns), tails):
-            separator = "[\n   "
-            for (values,) in _chunks(columns[name]):
+            separator = b"[\n   "
+            column = columns[name]
+            for start in range(0, column.size, _CHUNK):
                 handle.write(separator)
-                handle.write(_JSON_ITEM_SEP.join(map(float.__repr__, values)))
+                text = _floattext.rows((column[start : start + _CHUNK],), "repr", (_JSON_ITEM_SEP,))
+                handle.write(text[: -len(_JSON_ITEM_SEP)])
                 separator = _JSON_ITEM_SEP
-            handle.write("\n  ]")
-            handle.write(tail)
-        handle.write("\n")
+            handle.write(b"\n  ]")
+            handle.write(tail.encode("ascii"))
+        handle.write(b"\n")
 
 
 def _parse_grid_flag(text: str) -> OmegaGrid:

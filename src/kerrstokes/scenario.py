@@ -98,7 +98,7 @@ class BeamSplitter:
 # spectrum arrays grow linearly with the grid, while the writers hold one
 # chunk of text at a time: a ``kerrstokes run`` at 10^6 points peaks at 62 MB
 # RSS with either --format (minimum of 3 runs; CPython 3.11, numpy 2, x86_64;
-# 31 MB at 2 points), so a mistyped --grid cannot ask for gigabytes.
+# 32 MB at 2 points), so a mistyped --grid cannot ask for gigabytes.
 MAX_GRID_POINTS = 1_000_000
 
 
