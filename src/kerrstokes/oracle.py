@@ -69,7 +69,9 @@ def wk_numeric(
     half of a ``points``-node grid centred on tau = 0.  The kernel is
     sampled once per call, at tau and at -tau; unless the two samples are
     bit-identical the call raises ArithmeticError, since the cosine form
-    holds for an even kernel only.
+    holds for an even kernel only.  A kernel sample or an S that is not
+    finite raises ValueError instead: the coefficients or tau_r exceed
+    double precision.
 
     ``omega`` is a number or a 1-D array of finite values >= 0, and the
     result is of the same kind: a float, or an array of one S per entry.
@@ -91,6 +93,9 @@ def wk_numeric(
     step = QUADRATURE_TRUNCATION * relax.tau_r / mid
     tau = np.arange(mid + 1) * step
     kernel = kern.a_h * relax.h(tau) + kern.b_g * relax.g(tau)
+    beyond = f"{kern!r} and tau_r = {relax.tau_r!r} exceed double precision"
+    if not np.isfinite(kernel).all():
+        raise ValueError(f"the correlation kernel is not finite on the quadrature grid: {beyond}")
     if not np.array_equal(kernel, kern.a_h * relax.h(-tau) + kern.b_g * relax.g(-tau)):
         raise ArithmeticError("correlation kernel is not even; the cosine transform does not apply")
     work = np.empty_like(tau)
@@ -100,6 +105,8 @@ def wk_numeric(
         np.cos(work, out=work)
         work *= kernel
         spectrum[index] = 1.0 + 2.0 * _simpson(work, step)
+    if not np.isfinite(spectrum).all():
+        raise ValueError(f"S = 1 + 2 * simpson(k cos) is not finite: {beyond}")
     return float(spectrum) if scalar else spectrum
 
 

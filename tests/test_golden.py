@@ -31,7 +31,7 @@ from unittest import mock
 
 import pytest
 
-from kerrstokes import cli, verify
+from kerrstokes import cli, optimize, verify
 from kerrstokes.figures import FIGURE_IDS
 
 HERE = Path(__file__).resolve().parent
@@ -69,16 +69,22 @@ def run_digests(config: Path, out_dir: Path) -> dict[str, str]:
 
 def verify_digests(out_dir: Path) -> dict[str, str]:
     """Digests of one ``kerrstokes verify`` run: its report without any
-    ``elapsed_seconds``, and the repr of every pulse it draws."""
-    drawn = []
-    draw_pulse = verify._draw_pulse
+    ``elapsed_seconds``, the repr of every pulse it draws and the repr of
+    every phase optimum it computes."""
+    drawn, optima = [], []
 
-    def recording(*args, **kwargs):
-        drawn.append(draw_pulse(*args, **kwargs))
-        return drawn[-1]
+    def recorder(function, into):
+        def recording(*args, **kwargs):
+            into.append(function(*args, **kwargs))
+            return into[-1]
+
+        return recording
 
     out = out_dir / "verify.json"
-    with mock.patch.object(verify, "_draw_pulse", recording):
+    with (
+        mock.patch.object(verify, "_draw_pulse", recorder(verify._draw_pulse, drawn)),
+        mock.patch.object(optimize, "_optimize", recorder(optimize._optimize, optima)),
+    ):
         _main("verify", "--out", out)
     report = json.loads(out.read_text(encoding="ascii"))
     del report["elapsed_seconds"]
@@ -87,6 +93,7 @@ def verify_digests(out_dir: Path) -> dict[str, str]:
     texts = {
         "verify/report.json": json.dumps(report, sort_keys=True, indent=1) + "\n",
         "verify/draws.txt": "".join(f"{pulse!r}\n" for pulse in drawn),
+        "verify/optima.txt": "".join(f"{optimum!r}\n" for optimum in optima),
     }
     return {k: hashlib.sha256(v.encode("ascii")).hexdigest() for k, v in texts.items()}
 
@@ -109,7 +116,8 @@ def committed():
 def test_every_output_is_pinned(committed):
     names = {f"run/{c.stem}.{fmt}" for c in CONFIGS for fmt in ("csv", "json")}
     assert len(CONFIGS) == 4
-    assert names | {"verify/report.json", "verify/draws.txt"} <= committed.keys()
+    verified = {"verify/report.json", "verify/draws.txt", "verify/optima.txt"}
+    assert names | verified <= committed.keys()
     assert {k.split("_")[0] for k in committed if k.startswith("figure/")} == {
         f"figure/fig{fid}" for fid in DATA_FIGURES
     }

@@ -112,6 +112,23 @@ def test_kernel_that_is_not_even_is_rejected():
     )
 
 
+@pytest.mark.parametrize(
+    "kern, tau_r, omega, where",
+    [
+        (make_kernel(1e308, 1e308), 1.0, 1.0, "kernel"),  # a_h + b_g overflows
+        (make_kernel(1e308, 1e308), 1.0, np.array([0.0, 2.0]), "kernel"),
+        (make_kernel(1.0, 0.5), 6e-309, 1.0, "kernel"),  # 1 / tau_r overflows
+        (make_kernel(0.0, 0.0), 5e306, 1.0, "kernel"),  # 40 tau_r overflows: tau is nan
+        (make_kernel(1e308, 0.0), 1.0, 0.0, "S = "),  # a finite kernel, its sum overflows
+    ],
+    ids=["huge-kernel", "huge-kernel-array", "tiny-tau-r", "huge-tau-r", "huge-sum"],
+)
+def test_quadrature_beyond_double_precision_is_rejected(kern, tau_r, omega, where):
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="double precision") as err:
+        wk_numeric(kern, RelaxationKernel(tau_r), omega)
+    assert where in str(err.value)
+
+
 def test_quadrature_reproduces_lorentzian_transforms():
     for omega in (0.0, 0.5, 1.0, 3.0, 5.0):
         s_h = wk_numeric(make_kernel(1.0, 0.0), RELAX, omega)
