@@ -8,8 +8,11 @@ S(Omega0) with an independent numerical route: a dense scan over [0, 2pi)
 refined by a golden-section search.  Both answers are reported side by
 side in a :class:`PhaseOptimum` and never averaged or substituted for one
 another; disagreements beyond tolerance are flagged, not hidden.  The
-single-port kinds coh_sq, two_sq and xpm share one optimizer body, which
-always reads the cross phases phix, and two_sq and xpm share one builder.
+refinement stops only when its two interior values and the bracket end
+nearer the better one agree to SCAN_VALUE_TOL, so two points that straddle
+the minimum and tie do not end it early.  The single-port kinds coh_sq,
+two_sq and xpm share one optimizer body, which always reads the cross
+phases phix, and two_sq and xpm share one builder.
 The public coh_sq and two_sq optimizers hand it records with gamma_x set to
 0 (``pulse._spm``), so any gamma_x of theirs is ignored.  The beam-splitter
 families read the SPM phases alone.
@@ -40,8 +43,8 @@ pulses and a time, and returns the plain tuple ``(family, offset, records, close
 family, its closed form and its contract all read those records, and the
 contract is a callable that ``_optimize`` evaluates only when an optimum is
 asked for.  Each public optimizer first makes its checks on the pulses
-(coh_sq's coherent pulse 1), then evaluates each pulse once and is
-``_optimize`` of that tuple.  :func:`kerrstokes.scenario.run` evaluates its
+(coh_sq's coherent pulse 1, ``stokes._coherent_issue``), then evaluates
+each pulse once and is ``_optimize`` of that tuple.  :func:`kerrstokes.scenario.run` evaluates its
 pulses once, builds the same tuple from those records, takes its optimum from
 ``_optimize`` and its kernel from the same family at the applied phase.
 
@@ -96,7 +99,8 @@ TWO_PI = 2.0 * math.pi
 
 # Coarse-scan offsets over one phase period.
 SCAN_RESOLUTION_MIN = 720
-# Golden-section refinement terminates on this change in S (not in phase).
+# Golden-section refinement stops once its interior values and the nearer
+# bracket end agree to this in S (not in phase).
 SCAN_VALUE_TOL = 1e-12
 GOLDEN_MAX_ITER = 300
 # Closed form and scan must agree to this before a discrepancy is flagged;
@@ -171,25 +175,35 @@ def _check_omega0(omega0: float) -> None:
         raise ValueError(f"omega0 must be a finite number >= 0, got {omega0!r}")
 
 
-def _golden_refine(f, a: float, b: float):
-    """Golden-section minimization of f on [a, b], unimodal assumed.
+def _golden_refine(f, a: float, b: float, fa: float, fb: float):
+    """Golden-section minimization of f on [a, b], unimodal assumed, given
+    the values ``fa`` and ``fb`` at the bracket ends.
 
-    Terminates when the two interior S values agree to SCAN_VALUE_TOL (the
-    tolerance is on the spectrum value, not on the phase), or after
-    GOLDEN_MAX_ITER steps."""
+    Stops when the two interior S values agree to SCAN_VALUE_TOL *and* the
+    bracket end nearer the better one is within SCAN_VALUE_TOL of it (the
+    tolerance is on the spectrum value, not on the phase), when the bracket
+    is narrower than 1e-14, or after GOLDEN_MAX_ITER steps.  Two interior
+    values that straddle the minimum can tie while the bracket is still
+    wide; the end test rules that out.  For a convex f, the returned value
+    then lies within (1 + sqrt 5) / 2 * SCAN_VALUE_TOL (about 1.6 times the
+    tolerance) of the minimum over the bracket: by convexity, f stays above
+    the secant through the better interior point and its nearer end, and
+    above the secant through the two interior points."""
     c = b - _INV_GOLD * (b - a)
     d = a + _INV_GOLD * (b - a)
     fc = f(c)
     fd = f(d)
     for _ in range(GOLDEN_MAX_ITER):
-        if abs(fc - fd) < SCAN_VALUE_TOL or (b - a) < 1e-14:
+        best, near = (fc, fa) if fc <= fd else (fd, fb)
+        tied = abs(fc - fd) < SCAN_VALUE_TOL and abs(near - best) < SCAN_VALUE_TOL
+        if tied or (b - a) < 1e-14:
             break
         if fc < fd:
-            b, d, fd = d, c, fc
+            b, fb, d, fd = d, fd, c, fc
             c = b - _INV_GOLD * (b - a)
             fc = f(c)
         else:
-            a, c, fc = c, d, fd
+            a, fa, c, fc = c, fc, d, fd
             d = a + _INV_GOLD * (b - a)
             fd = f(d)
     if fc <= fd:
@@ -205,9 +219,10 @@ def scan_phase(coefficients, omega0: float):
     ndarray of offsets it returns arrays of that shape (or scalars, for a
     phase-independent kernel).  The coarse pass evaluates all
     SCAN_RESOLUTION_MIN offsets of [0, 2pi) in one call and takes the first
-    smallest value; golden-section refinement around it then calls
-    ``coefficients`` on scalars until the S value converges to
-    SCAN_VALUE_TOL.
+    smallest value; golden-section refinement between its two neighbours
+    then calls ``coefficients`` on scalars until the stop rule of
+    ``_golden_refine`` holds, which bounds the error in S by about
+    1.6 * SCAN_VALUE_TOL where S is convex in the bracket.
 
     Returns (delta_phi, s_min) with delta_phi wrapped into [0, 2pi).
     Raises ValueError when S is not finite at some scanned offset.
@@ -232,7 +247,8 @@ def scan_phase(coefficients, omega0: float):
     best_i = int(values.argmin())
     best_v = values[best_i]
     # Periodicity makes out-of-range bracket edges harmless.
-    phi, s_min = _golden_refine(f, (best_i - 1) * _STEP, (best_i + 1) * _STEP)
+    ends = values[best_i - 1], values[(best_i + 1) % SCAN_RESOLUTION_MIN]
+    phi, s_min = _golden_refine(f, (best_i - 1) * _STEP, (best_i + 1) * _STEP, *ends)
     if best_v < s_min:
         phi, s_min = best_i * _STEP, best_v
     return float(phi % TWO_PI), float(s_min)

@@ -26,6 +26,11 @@ pulses so), where phix and mux are 0 and the same formulas hold.
 pulse's constants; phi, mu, phix and mux are computed when read, so a
 consumer never computes a quantity (or overflows on one) that it does not
 use.  With an ndarray of times every field and quantity is an array over t.
+
+The weak-coupling rule is written once, in ``_weak_coupling_issues``: one
+(field name, message) per coupling above GAMMA_WEAK_LIMIT.  A pulse warns
+each as an ApproximationWarning ``<field>: <message>`` when it is built;
+scenario validation reports each on the config field (``pulse2.gamma``).
 """
 
 from __future__ import annotations
@@ -46,6 +51,18 @@ __all__ = ["EnvelopeShape", "Envelope", "LocalPulse", "PulseSpec", "GAMMA_WEAK_L
 # Beyond this per-photon coupling the weak-nonlinearity expansion that
 # underlies the closed-form spectra starts to lose accuracy.
 GAMMA_WEAK_LIMIT = 0.1
+
+
+def _weak_coupling_issues(pulse) -> list[tuple[str, str]]:
+    """One (field name, message) per coupling of ``pulse`` above
+    GAMMA_WEAK_LIMIT.  The pulse warns each as an ApproximationWarning when
+    built; scenario validation reports each as a warning on its field."""
+    return [
+        (name, f"{value:g} exceeds the weak-coupling regime ({name} <= "
+               f"{GAMMA_WEAK_LIMIT}); results are perturbative")
+        for name, value in (("gamma", pulse.gamma), ("gamma_x", pulse.gamma_x))
+        if value > GAMMA_WEAK_LIMIT
+    ]
 
 
 class EnvelopeShape(enum.Enum):
@@ -133,16 +150,8 @@ class PulseSpec:
             raise ValueError(f"gamma_x must be >= 0, got {self.gamma_x}")
         if not isinstance(self.envelope, Envelope):
             raise ValueError(f"envelope must be an Envelope, got {self.envelope!r}")
-        for name in ("gamma", "gamma_x"):
-            value = getattr(self, name)
-            if value > GAMMA_WEAK_LIMIT:
-                warnings.warn(
-                    f"{name} = {value:g} exceeds the weak-coupling regime "
-                    f"({name} <= {GAMMA_WEAK_LIMIT}); closed-form results are "
-                    "perturbative and lose accuracy here",
-                    ApproximationWarning,
-                    stacklevel=2,
-                )
+        for name, message in _weak_coupling_issues(self):
+            warnings.warn(f"{name}: {message}", ApproximationWarning, stacklevel=2)
 
     def mean_photons(self, t):
         """nbar(t) = n0 r(t)^2."""

@@ -11,7 +11,11 @@ non-fatal findings).  :func:`run` produces average Stokes parameters, the
 fluctuation spectrum on the grid and, when Omega0 is given, the phase
 optimum; the spectrum is then evaluated at the optimal phase offset.  What
 differs between kinds (pulse count, coherent pulses, problem, averages,
-default reference) sits in one table.
+default reference) sits in one table.  Validation restates no physical
+contract: it collects the coherent-pulse and lossless-splitter rules of
+:mod:`kerrstokes.stokes`, the weak-coupling rule of :mod:`kerrstokes.pulse`
+and the beam-splitter optimizer contracts of :mod:`kerrstokes.optimize`,
+which the library functions raise or warn with the same text.
 
 A run evaluates each pulse once, as a :class:`~kerrstokes.pulse.LocalPulse`
 record at the analysis time, and everything else reads those records:
@@ -42,9 +46,9 @@ from . import optimize, spectra, stokes
 from .errors import ConfigValidationError, ValidationIssue, _finite_number
 from .kernel import RelaxationKernel
 from .optimize import PhaseOptimum, _bs_contract_issues
-from .pulse import GAMMA_WEAK_LIMIT, LocalPulse, PulseSpec, _unsigned_zero
+from .pulse import LocalPulse, PulseSpec, _unsigned_zero, _weak_coupling_issues
 from .spectra import SpectrumSeries, StokesIndex, spectrum
-from .stokes import BS_UNITARITY_TOL, StokesSummary
+from .stokes import StokesSummary
 
 __all__ = [
     "ScenarioKind",
@@ -236,28 +240,16 @@ def _issues(config, records):
     if kind is ScenarioKind.BS_INTERF:
         if config.beamsplitter is None:
             errors.append(ValidationIssue("beamsplitter", "bs_interf needs a beam splitter"))
-        else:
-            total = config.beamsplitter.r + config.beamsplitter.t
-            if abs(total - 1.0) > BS_UNITARITY_TOL:
-                errors.append(
-                    ValidationIssue(
-                        "beamsplitter",
-                        f"r + t must equal 1 within {BS_UNITARITY_TOL:g}, got {total!r}",
-                    )
-                )
+        elif issue := stokes._unit_split_issue(config.beamsplitter):
+            errors.append(ValidationIssue("beamsplitter", issue))
     elif config.beamsplitter is not None:
         errors.append(
             ValidationIssue("beamsplitter", f"{kind.value} does not use a beam splitter")
         )
 
     for i, role in _KINDS[kind].coherent:
-        gamma = config.pulses[i].gamma
-        if gamma != 0.0:
-            errors.append(
-                ValidationIssue(
-                    f"pulse{i + 1}.gamma", f"{role} must be coherent (gamma == 0), got {gamma}"
-                )
-            )
+        if issue := stokes._coherent_issue(config.pulses[i], role):
+            errors.append(ValidationIssue(f"pulse{i + 1}.gamma", issue))
 
     for i, pulse in enumerate(config.pulses, start=1):
         if kind is not ScenarioKind.XPM and pulse.gamma_x != 0.0:
@@ -267,16 +259,8 @@ def _issues(config, records):
                     f"cross coupling only participates in the xpm scenario, got {pulse.gamma_x}",
                 )
             )
-        for name in ("gamma", "gamma_x"):
-            value = getattr(pulse, name)
-            if value > GAMMA_WEAK_LIMIT:
-                warns.append(
-                    ValidationIssue(
-                        f"pulse{i}.{name}",
-                        f"{value:g} exceeds the weak-coupling regime ({name} <= "
-                        f"{GAMMA_WEAK_LIMIT}); results are perturbative",
-                    )
-                )
+        for name, issue in _weak_coupling_issues(pulse):
+            warns.append(ValidationIssue(f"pulse{i}.{name}", issue))
 
     if kind is ScenarioKind.XPM and all(p.gamma_x == 0.0 for p in config.pulses):
         warns.append(

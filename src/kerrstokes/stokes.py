@@ -17,6 +17,14 @@ phase and shrinks it by exp(-mu); the formulas below are the resulting
 first-moment expressions.  Each function returns a :class:`StokesSummary`
 with the four averages, the Poincare-sphere radius sqrt(s1^2 + s2^2 + s3^2)
 and the degree of polarization radius / s0 (nan for vacuum input).
+
+Two input contracts are written here once each, as a function that returns
+the violation text or None: ``_coherent_issue`` (a reference or probe
+pulse must be coherent, gamma == 0) and ``_unit_split_issue`` (a lossless
+splitter, r + t = 1 within BS_UNITARITY_TOL).  The averages, kernels and
+optimizers raise that text as a ScenarioContractError through
+``_require_coherent`` and ``_require_unit_split``; scenario validation
+reports it on the config field.
 """
 
 from __future__ import annotations
@@ -68,19 +76,30 @@ class StokesSummary:
         return cls(s0, s1, s2, s3, radius, dop)
 
 
-def _require_coherent(pulse: PulseSpec | LocalPulse, role: str) -> None:
+def _coherent_issue(pulse: PulseSpec | LocalPulse, role: str) -> str | None:
+    """Why ``pulse``, in the role ``role``, is not the coherent (gamma == 0)
+    pulse a kind needs, or None.  The API raises it; validation reports it."""
     if pulse.gamma != 0.0:
-        raise ScenarioContractError(
-            f"{role} must be coherent (gamma == 0), got gamma = {pulse.gamma}"
-        )
+        return f"{role} must be coherent (gamma == 0), got {pulse.gamma}"
+    return None
+
+
+def _unit_split_issue(bs) -> str | None:
+    """Why the splitter ``bs`` is not lossless (r + t = 1), or None."""
+    total = bs.r + bs.t
+    if abs(total - 1.0) > BS_UNITARITY_TOL:
+        return f"r + t must equal 1 within {BS_UNITARITY_TOL:g}, got {total!r}"
+    return None
+
+
+def _require_coherent(pulse: PulseSpec | LocalPulse, role: str) -> None:
+    if issue := _coherent_issue(pulse, role):
+        raise ScenarioContractError(issue)
 
 
 def _require_unit_split(bs) -> None:
-    if abs(bs.r + bs.t - 1.0) > BS_UNITARITY_TOL:
-        raise ScenarioContractError(
-            f"beam splitter must satisfy r + t = 1 within {BS_UNITARITY_TOL}, "
-            f"got r + t = {bs.r + bs.t}"
-        )
+    if issue := _unit_split_issue(bs):
+        raise ScenarioContractError(issue)
 
 
 def _single_port_averages(a: LocalPulse, b: LocalPulse) -> StokesSummary:

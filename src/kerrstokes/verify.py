@@ -21,9 +21,10 @@ maps the generator to one optimum, and whether the closed form is exact (bs_s2's
 only).  Each sweep judges the optima of ``SWEEP_DRAWS`` successive calls of its drawer and
 keeps every one.  A single-port drawer draws t, pulse 1, pulse 2, then omega0;
 ``_draw_bs_s01`` draws r, n1, n2 / n1, phi1, omega0, then the two phi_lin; ``_draw_bs_s2``
-draws r, n1, n2, n3, phi, the pair's base phase, the probe's phi_lin, then omega0.  A draw
-outside a closed form's domain is flagged by the optimizer ("arccos-domain" for S0/S1), and
-a flag fails an exact sweep.
+draws r, n1, n2, n3, phi, the pair's base phase, the probe's phi_lin, then omega0.  The
+S0/S1 drawer takes phi1 from [2, 3), above the floor of the arccos vertex over its box, so
+every draw lies inside the closed form's domain; a draw outside it would be flagged by the
+optimizer ("arccos-domain"), and a flag fails an exact sweep.
 """
 
 from __future__ import annotations
@@ -248,7 +249,11 @@ def _draw_bs_s01(rng, which):
     bs = BeamSplitter(ref, 1.0 - ref)
     n1 = float(rng.uniform(50.0, 200.0))
     n2 = n1 * float(rng.uniform(0.5, 2.0))
-    phi1 = float(rng.uniform(1.0, 3.0))
+    # The S0/S1 vertex exists for phi1 >= |R n1 +/- T n2| sqrt(n1 / (R T n2))
+    # / (2 (n1 + n2) L0); over the r, n2 / n1 and omega0 drawn here that floor
+    # is at most 1.905 for S0 and 1.36 for S1, so phi1 >= 2 keeps every draw
+    # inside the closed form's domain.
+    phi1 = float(rng.uniform(2.0, 3.0))
     gamma = phi1 / (2.0 * n1)
     omega0 = float(rng.uniform(0.0, 1.0))
     p1 = PulseSpec(n0=n1, gamma=gamma, phi_lin=float(rng.uniform(0.0, 2.0 * math.pi)))
@@ -551,7 +556,7 @@ def _check_api_guards(col: _Collector):
     ):
         try:
             call()
-            ok = False
+            ok = False  # reached only when a guard is broken and lets its call through
         except ValueError:
             pass
     col.add(

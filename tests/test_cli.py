@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, output contracts, determinism."""
 
+import ast
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +205,17 @@ def test_unknown_figure_id(tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+def _kbench_verify_checks():
+    tree = ast.parse((Path(__file__).parents[1] / "kbench" / "workloads.py").read_text())
+    (value,) = [
+        node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_CHECKS"]
+    ]
+    return value
+
+
 def test_verify_subcommand_passes_and_reports(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code, stdout, _ = run_cli(capsys, "verify", "--out", report_path)
@@ -212,6 +225,9 @@ def test_verify_subcommand_passes_and_reports(tmp_path, capsys):
     assert len(report["checks"]) >= 20
     names = {c["name"] for c in report["checks"]}
     assert "optimum-coh-sq-closed-vs-scan" in names
+    # kbench's self-check rejects any other count, so a changed check set
+    # must fail here first; ast reads the pin without importing kbench
+    assert report["check_count"] == _kbench_verify_checks()
     # each check's time runs from the previous check's record, so they add up
     # to the total (rounded to 3 decimals there and to 6 per check)
     times = [c["elapsed_seconds"] for c in report["checks"]]
@@ -289,6 +305,19 @@ def test_command_line_usage_error_is_a_json_parse_error(capsys, argv, message):
     assert error["issues"][0]["message"].startswith(message)
 
 
+# runpy warns that kerrstokes.cli is already imported when it runs it as __main__
+@pytest.mark.filterwarnings("ignore:'kerrstokes.cli' found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize("module", ["kerrstokes", "kerrstokes.cli"])
+def test_module_entry_point_prints_the_version(module, monkeypatch, capsys):
+    """``python -m kerrstokes`` and ``python -m kerrstokes.cli`` run
+    ``cli.entry``, here in this process."""
+    monkeypatch.setattr(sys, "argv", ["kerrstokes", "--version"])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_module(module, run_name="__main__")
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == f"kerrstokes {kerrstokes.__version__}\n"
+
+
 def test_help_flag_still_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--help"])
@@ -349,13 +378,18 @@ def test_bad_grid_override_names_its_field(tmp_path, basic_ini, capsys):
 
 
 def test_non_integer_grid_count_says_count_must_be_an_integer(tmp_path, basic_ini, capsys):
-    code, out, err = run_cli(
-        capsys, "run", "--config", basic_ini, "--out", tmp_path / "x.csv", "--grid", "0:5:2e6"
-    )
-    assert code == EXIT_PARSE and out == ""
-    issues = stderr_error(err)["issues"]
-    assert [i["field"] for i in issues] == ["grid"]
-    assert issues[0]["message"] == "--grid COUNT must be an integer, got '0:5:2e6'"
+    for grid, message in (
+        ("0:5:2e6", "--grid COUNT must be an integer, got '0:5:2e6'"),
+        ("0:5", "--grid expects START:STOP:COUNT, got '0:5'"),
+        ("a:5:10", "--grid expects numbers START:STOP:COUNT, got 'a:5:10'"),
+    ):
+        code, out, err = run_cli(
+            capsys, "run", "--config", basic_ini, "--out", tmp_path / "x.csv", "--grid", grid
+        )
+        assert code == EXIT_PARSE and out == ""
+        issues = stderr_error(err)["issues"]
+        assert [i["field"] for i in issues] == ["grid"]
+        assert issues[0]["message"] == message
 
 
 # three points between adjacent doubles: linspace rounds them onto one value

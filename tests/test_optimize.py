@@ -31,6 +31,7 @@ from kerrstokes.spectra import (
     single_port_family,
     spectrum_value,
 )
+from kerrstokes.verify import _draw_bs_s01
 
 WEAK = st.floats(min_value=0.001, max_value=0.01)
 INTENSITY = st.floats(min_value=0.5, max_value=200.0)
@@ -157,6 +158,26 @@ class TestBeamSplitterS01:
             assert math.isnan(opt.delta_phi_opt)
             assert math.isfinite(opt.delta_phi_numeric)
 
+    def test_scan_does_not_stop_on_a_tie_that_straddles_the_minimum(self):
+        """Here the two interior points of the golden search tie to 1e-12
+        while its bracket is still 5.4e-5 wide, on either side of the minimum;
+        stopping there read S 8.8e-9 above the closed form and flagged it."""
+        gamma = 0.006929562006396404
+        p1 = PulseSpec(n0=84.72769291203234, gamma=gamma, phi_lin=3.8154218224087395)
+        p2 = PulseSpec(n0=160.97102184921988, gamma=gamma, phi_lin=4.3673130510011395)
+        bs = BeamSplitter(0.45614995959506954, 0.5438500404049305)
+        opt = optimal_phase_bs_s01(p1, p2, bs, 0.0, 0.8279870859603943, which=StokesIndex.S1)
+        assert opt.flags == ()
+        assert opt.agreement < 1e-12
+
+    @pytest.mark.parametrize("which", [StokesIndex.S0, StokesIndex.S1])
+    def test_verify_draws_stay_in_the_closed_form_domain(self, which):
+        """verify's S0/S1 sweep asserts exactness, so none of its draws may
+        fall outside the arccos domain or stop the scan short."""
+        rng = np.random.default_rng(12345)
+        flagged = [opt.flags for opt in (_draw_bs_s01(rng, which) for _ in range(2000))]
+        assert [f for f in flagged if f] == []
+
     def test_rejects_s2_selector(self):
         with pytest.raises(ValueError):
             optimal_phase_bs_s01(
@@ -256,6 +277,11 @@ def test_scan_needs_enough_resolution():
 def test_scan_rejects_negative_frequency():
     with pytest.raises(ValueError):
         scan_phase(unit_pair_coefficients, -1.0)
+
+
+def test_scan_rejects_coefficients_that_are_not_finite():
+    with pytest.raises(ValueError, match="double precision"):
+        scan_phase(lambda dphi: (math.inf, 0.0 * dphi), 0.5)
 
 
 def test_scan_finds_known_minimum():

@@ -114,19 +114,24 @@ def old_bs_s2(p1, p2, p3, bs, t, index=StokesIndex.S2):
     )
 
 
-def old_golden(f, a, b, max_iter=300):
+def old_golden(f, a, b, fa, fb, max_iter=300):
+    """Stops once the interior values tie and the end nearer the better one
+    ties with it too; ``fa`` and ``fb`` are the values at the bracket ends."""
     c = b - INV_GOLD * (b - a)
     d = a + INV_GOLD * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(max_iter):
-        if abs(fc - fd) < SCAN_VALUE_TOL or (b - a) < 1e-14:
+        near, best = (fa, fc) if fc <= fd else (fb, fd)
+        if abs(fc - fd) < SCAN_VALUE_TOL and abs(near - best) < SCAN_VALUE_TOL:
+            break
+        if (b - a) < 1e-14:
             break
         if fc < fd:
-            b, d, fd = d, c, fc
+            b, fb, d, fd = d, fd, c, fc
             c = b - INV_GOLD * (b - a)
             fc = f(c)
         else:
-            a, c, fc = c, d, fd
+            a, fa, c, fc = c, fc, d, fd
             d = a + INV_GOLD * (b - a)
             fd = f(d)
     return (c, fc) if fc <= fd else (d, fd)
@@ -141,12 +146,15 @@ def old_scan(kernel_at, omega0, resolution=SCAN_RESOLUTION_MIN):
         return 1.0 + 2.0 * lor * a_h + 4.0 * lor * lor * b_g
 
     step = TWO_PI / resolution
+    values = [f(i * step) for i in range(resolution)]
     best_i, best_v = 0, math.inf
-    for i in range(resolution):
-        v = f(i * step)
+    for i, v in enumerate(values):
         if v < best_v:
             best_i, best_v = i, v
-    phi, s_min = old_golden(f, (best_i - 1) * step, (best_i + 1) * step)
+    phi, s_min = old_golden(
+        f, (best_i - 1) * step, (best_i + 1) * step,
+        values[best_i - 1], values[(best_i + 1) % resolution],
+    )
     if best_v < s_min:
         phi, s_min = best_i * step, best_v
     return phi % TWO_PI, s_min

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kerrstokes import cli, optimize, oracle, scenario, spectra, verify
-from kerrstokes.errors import ConfigValidationError
+from kerrstokes.errors import ApproximationWarning, ConfigValidationError, ScenarioContractError
 from kerrstokes.kernel import RelaxationKernel
 from kerrstokes.optimize import (
     AGREEMENT_TOL,
@@ -128,6 +128,13 @@ class TestBuildingBlocks:
             config(pulses=(COH, "not a pulse"))
         with pytest.raises(ValueError):
             config(stokes_index="S2")
+        for field in ("medium", "omega_grid", "beamsplitter"):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                dataclasses.replace(config(), **{field: "wrong type"})
+        with pytest.raises(ValueError, match="^envelope must be an Envelope"):
+            PulseSpec(n0=1.0, envelope="gaussian")
+        with pytest.raises(ValueError, match="^shape must be an EnvelopeShape"):
+            Envelope("gaussian", 1.0)
 
     def test_pulse_sequence_coerced_to_tuple(self):
         cfg = config(pulses=[COH, KERR])
@@ -227,6 +234,28 @@ def test_validate_raises_with_all_issues():
         validate(cfg)
     fields = [issue.field for issue in excinfo.value.issues]
     assert "beamsplitter" in fields and "scenario.omega0" in fields
+
+
+def test_api_and_validation_state_each_contract_in_one_text():
+    """The library raises (or warns) the text that validation reports."""
+    kerr1 = config(pulses=(PulseSpec(n0=1.0, gamma=0.01), KERR))
+    with pytest.raises(ScenarioContractError) as raised:
+        averages_coh_sq(*kerr1.pulses, t=0.0)
+    assert [(i.field, i.message) for i in collect_issues(kerr1)[0]] == [
+        ("pulse1.gamma", str(raised.value))
+    ]
+    lossy = bs_config(beamsplitter=BeamSplitter(0.6, 0.5))
+    with pytest.raises(ScenarioContractError) as raised:
+        averages_bs(*lossy.pulses, lossy.beamsplitter, t=0.0)
+    assert [(i.field, i.message) for i in collect_issues(lossy)[0]] == [
+        ("beamsplitter", str(raised.value))
+    ]
+    with pytest.warns(ApproximationWarning) as warned:
+        strong = PulseSpec(n0=1.0, gamma=0.3, gamma_x=0.2)
+    issues = collect_issues(config(kind=ScenarioKind.XPM, pulses=(KERR, strong)))[1]
+    assert [str(w.message) for w in warned] == [
+        f"{i.field.removeprefix('pulse2.')}: {i.message}" for i in issues
+    ]
 
 
 def test_validate_emits_warnings_for_nonfatal_issues():

@@ -223,3 +223,14 @@ def test_kerr_phase_past_double_range_is_rejected_on_the_float_route(name):
     with pytest.warns(RuntimeWarning, match="invalid value encountered in"):
         with pytest.raises(ValueError, match=r"^a_h must be a finite number, got nan$"):
             OVERFLOW_REPROS[name](big, PulseSpec(10.0, gamma=0.01))
+
+
+@pytest.mark.parametrize("name", ["bs_s01", "bs_s2"])
+def test_kerr_weight_past_double_range_is_rejected(name):
+    # phi1 = 1e200 is finite but phi1**2 is not: the family saturates its
+    # Kerr weight to inf rather than raise OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        big = PulseSpec(1e200, gamma=0.5)
+    with pytest.raises(ValueError, match=r"^b_g must be a finite number, got inf$"):
+        OVERFLOW_REPROS[name](big, PulseSpec(10.0, gamma=0.01))
